@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 
 from . import fixtures
 from .dynkin import DynkinType, ExtDynkinType, parse_type
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistency
 from .intersection import intersection_matrix, smooth_resolution
 from .knitting import extract_maps, knit, render_pattern
 from .pathalg import (MembershipCertificate, check_certificate, format_element,
@@ -89,7 +89,7 @@ def cmd_decompose(args) -> tuple[int, str]:
 
 def cmd_knit(args) -> tuple[int, str]:
     t = _require_extended(parse_type(args.type))
-    s = frozenset(int(x) for x in args.S.split(","))
+    s = args.S
     r = knit(t, s, args.target)
     data = {
         "type": str(t),
@@ -302,6 +302,14 @@ def cmd_verify(args) -> tuple[int, str]:
 # argument parsing and dispatch
 
 
+def _vertex_set(text: str) -> frozenset[int]:
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated vertex indices, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="preproj",
@@ -321,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("knit", help="run the knitting algorithm")
     common(p)
-    p.add_argument("--S", required=True, help='comma-separated S vertices, e.g. "0,5"')
+    p.add_argument("--S", required=True, type=_vertex_set,
+                   help='comma-separated S vertices, e.g. "0,5"')
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--ascii", action="store_true", help="render the pattern grid")
     p.add_argument("--maps", action="store_true", help="extract and certify the maps")
@@ -348,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("dims", "knitting", "maps", "intersection", "all"),
                    default="all")
     p.add_argument("--cap", type=int, default=24, help="degree cap for map certificates")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized property runs")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
     return ap
@@ -365,12 +373,15 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return args.func(args)
     except DomainError as exc:
         return 1, f"error: {exc}"
+    except InternalInconsistency as exc:
+        return 1, f"internal inconsistency: {exc}"
 
 
 def main(argv: list[str] | None = None) -> int:
     code, output = dispatch(sys.argv[1:] if argv is None else argv)
     if output:
-        print(output, file=sys.stderr if code == 1 and output.startswith("error:") else sys.stdout)
+        to_stderr = code == 1 and output.startswith(("error:", "internal inconsistency:"))
+        print(output, file=sys.stderr if to_stderr else sys.stdout)
     return code
 
 

@@ -6,9 +6,7 @@ full subquivers into canonical Dynkin pieces.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistency
 
@@ -183,14 +181,21 @@ class LabelledDoubleQuiver:
         return LabelledDoubleQuiver(tuple(sorted(keep)), arrows, type=None)
 
 
+# one shared frozen quiver per type, built on first use
+_EXTENDED: dict[ExtDynkinType, LabelledDoubleQuiver] = {}
+
+
 def build_extended(t: ExtDynkinType) -> LabelledDoubleQuiver:
     """The double of the extended Dynkin quiver with its canonical labels."""
-    arrows: list[Arrow] = []
-    for idx, tail, head in _ordinary_arrows(t):
-        a = Arrow(idx, False, tail, head)
-        arrows.append(a)
-        arrows.append(a.reversed_arrow())
-    return LabelledDoubleQuiver(tuple(range(t.n + 1)), tuple(arrows), type=t)
+    q = _EXTENDED.get(t)
+    if q is None:
+        arrows: list[Arrow] = []
+        for idx, tail, head in _ordinary_arrows(t):
+            a = Arrow(idx, False, tail, head)
+            arrows.append(a)
+            arrows.append(a.reversed_arrow())
+        q = _EXTENDED[t] = LabelledDoubleQuiver(tuple(range(t.n + 1)), tuple(arrows), type=t)
+    return q
 
 
 def build_dynkin(t: DynkinType) -> LabelledDoubleQuiver:
@@ -229,7 +234,18 @@ class CartanData:
     delta: tuple[int, ...]
 
 
+# one shared frozen CartanData per type, built on first use
+_CARTAN: dict[ExtDynkinType, CartanData] = {}
+
+
 def cartan(t: ExtDynkinType) -> CartanData:
+    data = _CARTAN.get(t)
+    if data is None:
+        data = _CARTAN[t] = _build_cartan(t)
+    return data
+
+
+def _build_cartan(t: ExtDynkinType) -> CartanData:
     q = build_extended(t)
     n1 = t.n + 1
     adj = [[0] * n1 for _ in range(n1)]
@@ -298,18 +314,6 @@ def nakayama(t: DynkinType) -> VertexPermutation:
     if n == 6:
         return VertexPermutation.of({1: 1, 2: 6, 3: 5, 4: 4, 5: 3, 6: 2})
     return VertexPermutation.of({i: i for i in verts})
-
-
-def graph_automorphisms(adjacency: dict[int, tuple[int, ...]]) -> list[dict[int, int]]:
-    """All adjacency-preserving bijections of a small graph (brute force)."""
-    verts = sorted(adjacency)
-    nbrs = {v: frozenset(adjacency[v]) for v in verts}
-    autos = []
-    for perm in itertools.permutations(verts):
-        m = dict(zip(verts, perm))
-        if all(frozenset(m[w] for w in nbrs[v]) == nbrs[m[v]] for v in verts):
-            autos.append(m)
-    return autos
 
 
 def _identify_tree(adjacency: dict[int, frozenset[int]]) -> DynkinType:
@@ -412,25 +416,3 @@ def classify_components(q: LabelledDoubleQuiver, keep: set[int]
         components.append((dt, tuple(sorted(comp)), best))
     return components
 
-
-def det_int(matrix: tuple[tuple[int, ...], ...]) -> int:
-    """Determinant of a small integer matrix, exactly."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    num = det.numerator
-    assert det.denominator == 1
-    return num

@@ -36,6 +36,8 @@ class FieldElem:
 
     def __add__(self, other) -> "FieldElem":
         o = FieldElem.of(other)
+        if not self.im and not o.im:
+            return FieldElem(self.re + o.re)
         return FieldElem(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -44,13 +46,20 @@ class FieldElem:
         return FieldElem(-self.re, -self.im)
 
     def __sub__(self, other) -> "FieldElem":
-        return self + (-FieldElem.of(other))
+        o = FieldElem.of(other)
+        if not self.im and not o.im:
+            return FieldElem(self.re - o.re)
+        return FieldElem(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other) -> "FieldElem":
-        return FieldElem.of(other) + (-self)
+        return FieldElem.of(other) - self
 
     def __mul__(self, other) -> "FieldElem":
+        if isinstance(other, int):
+            return FieldElem(self.re * other, self.im * other)
         o = FieldElem.of(other)
+        if not self.im and not o.im:
+            return FieldElem(self.re * o.re)
         return FieldElem(self.re * o.re - self.im * o.im,
                          self.re * o.im + self.im * o.re)
 
@@ -115,6 +124,13 @@ def parse_field_elem(text: str) -> FieldElem:
     m = _ELEM_RE.match(text)
     if not m:
         raise DomainError(f"cannot parse field element {text!r}")
+    try:
+        return _field_elem_of(m)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in field element {text!r}") from None
+
+
+def _field_elem_of(m: re.Match) -> FieldElem:
     if m.group("im2") is not None:
         im = m.group("im2").replace(" ", "")
         if im in ("", "+"):
@@ -203,14 +219,31 @@ def is_quasi_dominant(t: ExtDynkinType, w: Weight) -> bool:
     return all(w[i] >= ZERO for i in range(1, t.n + 1))
 
 
+# per type, the nonzero entries (j, C~_ij) of each row i of the extended Cartan matrix
+_CARTAN_ROWS: dict[ExtDynkinType, tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+
+def _cartan_rows(t: ExtDynkinType) -> tuple[tuple[tuple[int, int], ...], ...]:
+    rows = _CARTAN_ROWS.get(t)
+    if rows is None:
+        rows = _CARTAN_ROWS[t] = tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                                       for row in cartan(t).cartan_ext)
+    return rows
+
+
 def dual_reflection(t: ExtDynkinType, w: Weight, i: int) -> Weight:
-    """r_i(w)_j = w_j - C~_{ij} w_i; preserves w . delta and the lattice."""
+    """r_i(w)_j = w_j - C~_{ij} w_i; preserves w . delta and the lattice.
+
+    Only w_i and its neighbours change; every other entry is kept as it is.
+    """
     _check_length(t, w)
     if not 0 <= i <= t.n:
         raise DomainError(f"vertex {i} out of range for {t}")
-    row = cartan(t).cartan_ext[i]
-    wi = w[i]
-    return Weight(tuple(w[j] - wi * row[j] for j in range(t.n + 1)))
+    entries = list(w.entries)
+    wi = entries[i]
+    for j, c in _cartan_rows(t)[i]:
+        entries[j] = entries[j] - wi * c
+    return Weight(tuple(entries))
 
 
 def apply_reflections(t: ExtDynkinType, w: Weight, seq: list[int]) -> Weight:

@@ -5,6 +5,9 @@ over exact rationals) and never calls the layered engine it checks.
 """
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 from preproj.pathalg import PathElement, multiply, relation_set, trivial_path
 from preproj.weights import ONE, ZERO
 
@@ -79,3 +82,38 @@ def brute_graded_member(quiver, element):
     base = rank_of_rows(list(rows))
     extra = {index.setdefault(p, len(index)): c for p, c in element.terms.items()}
     return rank_of_rows(rows + [extra]) == base
+
+
+def graph_automorphisms(adjacency: dict[int, tuple[int, ...]]) -> list[dict[int, int]]:
+    """All adjacency-preserving bijections of a small graph (brute force)."""
+    verts = sorted(adjacency)
+    nbrs = {v: frozenset(adjacency[v]) for v in verts}
+    autos = []
+    for perm in itertools.permutations(verts):
+        m = dict(zip(verts, perm))
+        if all(frozenset(m[w] for w in nbrs[v]) == nbrs[m[v]] for v in verts):
+            autos.append(m)
+    return autos
+
+
+def det_int(matrix: tuple[tuple[int, ...], ...]) -> int:
+    """Determinant of a small integer matrix, exactly."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    num = det.numerator
+    assert det.denominator == 1
+    return num

@@ -1,6 +1,8 @@
 import json
 
-from preproj.cli import dispatch, to_json
+from preproj import cli
+from preproj.cli import dispatch, main, to_json
+from preproj.errors import InternalInconsistency
 
 
 def run(*argv):
@@ -71,6 +73,33 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run("decompose")
     assert code == 2
+
+
+def test_zero_denominator_weight_exits_1(capsys):
+    for weights in ("1/0,0,1,0,0,0", "1/2+1/0 i,0,1,0,0,0"):
+        code = main(["decompose", "--type", "~A5", "--weights", weights])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: zero denominator")
+
+
+def test_bad_s_entry_is_usage_error(capsys):
+    code = main(["knit", "--type", "~D5", "--S", "0,x", "--target", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage:")
+    assert "argument --S: expected comma-separated vertex indices, got '0,x'" in err
+
+
+def test_internal_inconsistency_is_reported(monkeypatch, capsys):
+    def broken(t):
+        raise InternalInconsistency("gamma differs from -C")
+
+    monkeypatch.setattr(cli, "intersection_matrix", broken)
+    code = main(["intersect", "--type", "~D4"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "internal inconsistency: gamma differs from -C\n"
 
 
 def test_dims_cache(tmp_path):

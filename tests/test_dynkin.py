@@ -1,8 +1,9 @@
 import pytest
 
+from oracles import det_int, graph_automorphisms
 from preproj.dynkin import (DynkinType, ExtDynkinType, build_extended, cartan,
-                            classify_components, det_int, graph_automorphisms,
-                            dynkin_adjacency, nakayama, parse_type)
+                            classify_components, dynkin_adjacency, nakayama,
+                            parse_type)
 from preproj.errors import DomainError
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
@@ -166,3 +167,9 @@ def test_paths_alternate_in_de_doubles():
         for a in q.arrows:
             if not a.reverse:
                 assert a.head in sinks and a.tail not in sinks
+
+
+def test_per_type_data_is_shared():
+    for t in ALL_EXTENDED:
+        assert cartan(t) is cartan(ExtDynkinType(t.family, t.n))
+        assert build_extended(t) is build_extended(ExtDynkinType(t.family, t.n))

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from preproj.dynkin import ExtDynkinType, delta_vector
+from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
 from preproj.weights import (FieldElem, ONE, Weight, ZERO, apply_reflections,
                              classify_weight, compare, dot_delta,
@@ -51,6 +52,12 @@ def test_parse_format_roundtrip():
         assert parse_field_elem(format_field_elem(x)) == x
     with pytest.raises(DomainError):
         parse_field_elem("zebra")
+
+
+def test_parse_zero_denominator_is_domain_error():
+    for text in ("1/0", "1/2+1/0 i", "1/0i", "0/0"):
+        with pytest.raises(DomainError, match="zero denominator"):
+            parse_field_elem(text)
 
 
 def test_dual_reflection_a2_example():
@@ -119,13 +126,38 @@ def test_resolve_to_smooth_a2():
     assert seq == [0] and mu == Weight.of([-1, 1, 1])
 
 
+# (type, word length, sha256 prefix of the comma-joined word, mu) as
+# resolve_to_smooth returned them before reflections were made sparse
+FROZEN_SMOOTH = [
+    ("~A2", 1, "5feceb66ffc86f38", "-1,1,1"),
+    ("~A3", 8, "ae2b3c970e108944", "-3,1,2,1"),
+    ("~A4", 10, "1726f90140b78b8a", "-3,1,1,1,1"),
+    ("~A5", 29, "a3219772466569d1", "-5,1,1,2,1,1"),
+    ("~A6", 35, "05a7f1af75c3b1c9", "-5,1,1,1,1,1,1"),
+    ("~A7", 72, "d91b1c30600f5053", "-7,1,1,1,2,1,1,1"),
+    ("~A8", 84, "93261b23deb77cda", "-7,1,1,1,1,1,1,1,1"),
+    ("~D4", 16, "400390a4860794b7", "-4,1,1,1,1"),
+    ("~D5", 40, "cf9ea3cac81e9349", "-6,1,1,1,1,1"),
+    ("~D6", 104, "952cb558addeb104", "-10,1,1,2,1,1,1"),
+    ("~D7", 180, "a38b21c4a2c7ade1", "-12,1,1,1,1,2,1,1"),
+    ("~D8", 224, "7f12fbcf5f9bce74", "-12,1,1,1,1,1,1,1,1"),
+    ("~E6", 120, "caa76f52fa5bde88", "-10,1,1,1,1,1,1"),
+    ("~E7", 385, "ded3bdb3538baaf9", "-18,1,1,1,1,1,1,2"),
+    ("~E8", 1120, "6fff482b66c60029", "-28,1,1,1,1,1,1,1,1"),
+]
+
+
 def test_resolve_to_smooth_all_types():
-    for t in ALL_EXTENDED:
+    assert [str(t) for t in ALL_EXTENDED] == [name for name, *_ in FROZEN_SMOOTH]
+    for t, (_, length, word_hash, mu_text) in zip(ALL_EXTENDED, FROZEN_SMOOTH):
         seq, mu = resolve_to_smooth(t)
         assert dot_delta(t, mu) == ONE
         assert all(mu[i] > ZERO for i in range(1, t.n + 1))
         assert all(x.im == 0 and x.re.denominator == 1 for x in mu.entries)
         assert apply_reflections(t, epsilon0(t), seq) == mu
+        joined = ",".join(map(str, seq)).encode()
+        assert (len(seq), hashlib.sha256(joined).hexdigest()[:16], format_weight(mu)) == (
+            length, word_hash, mu_text), t
 
 
 def test_schedler_configuration_values():
@@ -150,3 +182,56 @@ def test_weight_parse_errors():
     with pytest.raises(DomainError):
         parse_weight("1,2,3", 5)
     assert format_weight(parse_weight("1,-1/2,0,1/2+1/3i")) == "1,-1/2,0,1/2+1/3i"
+
+
+def as_pair(x):
+    return (Fraction(x.re), Fraction(x.im))
+
+
+def pair_product(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def test_field_elem_arithmetic_matches_pair_formula():
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(-9, 9)
+        q = FieldElem(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        g = rand_elem(rng)
+        kk = (Fraction(k), Fraction(0))
+        for x in (q, g):
+            a = as_pair(x)
+            assert as_pair(x * k) == as_pair(k * x) == pair_product(a, kk)
+            assert as_pair(x * Fraction(k, 7)) == pair_product(a, (Fraction(k, 7), Fraction(0)))
+            assert as_pair(x + k) == as_pair(k + x) == (a[0] + k, a[1])
+            assert as_pair(x - k) == (a[0] - k, a[1])
+            assert as_pair(k - x) == (k - a[0], -a[1])
+            for y in (q, g):
+                b = as_pair(y)
+                assert as_pair(x * y) == as_pair(y * x) == pair_product(a, b)
+                assert as_pair(x + y) == as_pair(y + x) == (a[0] + b[0], a[1] + b[1])
+                assert as_pair(x - y) == (a[0] - b[0], a[1] - b[1])
+
+
+def dense_reflection(cext, w, i):
+    """(r_i w)_j = w_j - C~_ij w_i over every j, on (re, im) pairs."""
+    wi = w[i]
+    return [(w[j][0] - cext[i][j] * wi[0], w[j][1] - cext[i][j] * wi[1])
+            for j in range(len(w))]
+
+
+@pytest.mark.parametrize("t", ALL_EXTENDED, ids=str)
+def test_dual_reflection_matches_dense_formula(t):
+    cext = cartan(t).cartan_ext
+    rng = random.Random(f"reflect-{t}")
+    for k in range(12):
+        if k % 2:
+            w = Weight.of([rand_elem(rng) for _ in range(t.n + 1)])
+        else:
+            w = Weight.of([Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                           for _ in range(t.n + 1)])
+        for i in range(t.n + 1):
+            got = dual_reflection(t, w, i)
+            assert [as_pair(x) for x in got.entries] == dense_reflection(
+                cext, [as_pair(x) for x in w.entries], i)
+
