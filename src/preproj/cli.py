@@ -8,10 +8,8 @@ and re-serialising a result is byte-identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from pathlib import Path as FsPath
 
 from . import fixtures
 from .dynkin import DynkinType, ExtDynkinType, parse_type
@@ -129,34 +127,20 @@ def cmd_dims(args) -> tuple[int, str]:
     t = parse_type(args.type)
     if isinstance(t, ExtDynkinType):
         raise DomainError("dims expects a Dynkin type like D4 (no ~ prefix)")
-    cache_file = None
-    if args.cache_dir:
-        key = hashlib.sha256(f"dims:v1:{t}".encode()).hexdigest()[:24]
-        cache_file = FsPath(args.cache_dir) / f"{key}.json"
-        if cache_file.exists():
-            data = json.loads(cache_file.read_text())
-            return 0, to_json(data) if args.format == "json" else _dims_text(t, data)
     dims, total = graded_dims_pi(t)
     h = hom_matrix(t)
     data = {"type": str(t), "graded_dims": list(dims), "total": total,
             "hom_matrix": [list(r) for r in h],
             "vertex_dims": [sum(r) for r in h]}
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(to_json(data))
     if args.format == "json":
         return 0, to_json(data)
-    return 0, _dims_text(t, data)
-
-
-def _dims_text(t, data) -> str:
-    lines = [f"dim Pi({t}) = {data['total']}",
-             "graded dims " + " ".join(str(d) for d in data["graded_dims"]),
+    lines = [f"dim Pi({t}) = {total}",
+             "graded dims " + " ".join(str(d) for d in dims),
              "dim U_i     " + " ".join(str(d) for d in data["vertex_dims"]),
              "hom matrix:"]
-    for row in data["hom_matrix"]:
+    for row in h:
         lines.append("  " + " ".join(f"{x:4d}" for x in row))
-    return "\n".join(lines)
+    return 0, "\n".join(lines)
 
 
 def cmd_intersect(args) -> tuple[int, str]:
@@ -338,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="graded dimensions and Hom matrix of Pi(Q)")
     common(p)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("intersect", help="noncommutative intersection matrix")

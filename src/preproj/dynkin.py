@@ -6,7 +6,7 @@ full subquivers into canonical Dynkin pieces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalInconsistency
 
@@ -93,10 +93,11 @@ class Arrow:
     reverse: bool
     tail: int
     head: int
+    # stored once: names key the multiplication tables of every model
+    name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def name(self) -> str:
-        return ("~a" if self.reverse else "a") + str(self.index)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", ("~a" if self.reverse else "a") + str(self.index))
 
     def reversed_arrow(self) -> "Arrow":
         return Arrow(self.index, not self.reverse, self.head, self.tail)

@@ -337,7 +337,6 @@ def _free_walks(rq: RepetitionQuiver, start: int, end: int, length: int,
             if v == end:
                 out.append(Path(start, tuple(arrows)))
             return
-        # prune: the tree distance cannot exceed the remaining length
         for a in rq.quiver.arrows_from(v):
             go(a.head, remaining - 1, arrows + [a])
 

@@ -234,6 +234,7 @@ class QuotientModel:
     def __init__(self, quiver: LabelledDoubleQuiver, weight: dict[int, FieldElem]):
         self.quiver = quiver
         self.weight = {v: FieldElem.of(weight.get(v, 0)) for v in quiver.vertices}
+        self.rels = relation_set(quiver, self.weight)
         self.basis: list[_Basis] = []
         self.layers: list[list[int]] = []
         self.mul: dict[tuple[int, str], dict[int, FieldElem]] = {}
@@ -290,15 +291,11 @@ class QuotientModel:
                             for b2, c2 in self.mul[(bid, second.name)].items():
                                 tail[b2] = tail.get(b2, ZERO) + coef * c2
 
-                for a in self.quiver.ordinary_arrows:
-                    rev = self.quiver.arrow("~a" + str(a.index))
-                    if a.tail == v:
-                        accumulate(a, rev, ONE)
-                    if a.head == v:
-                        accumulate(rev, a, -ONE)
-                lam = self.weight[v]
-                if lam:
-                    tail[cid] = tail.get(cid, ZERO) - lam
+                for path, sign in self.rels[v].terms.items():
+                    if path.arrows:
+                        accumulate(*path.arrows, sign)
+                    else:
+                        tail[cid] = tail.get(cid, ZERO) + sign
                 raw_rows.append((cid, v))
                 vecs.append(({k: x for k, x in sym.items() if x},
                              {k: x for k, x in tail.items() if x}))
@@ -500,30 +497,13 @@ class QuotientModel:
     def _expand_generator(self, cid: int, v: int) -> dict[Path, FieldElem]:
         """rep(c) * rho_v as an explicit path combination."""
         rep = self.basis[cid].rep
-        out: dict[Path, FieldElem] = {}
-        for a in self.quiver.ordinary_arrows:
-            rev = self.quiver.arrow("~a" + str(a.index))
-            if a.tail == v:
-                p = rep.then(a).then(rev)
-                out[p] = out.get(p, ZERO) + ONE
-            if a.head == v:
-                p = rep.then(rev).then(a)
-                out[p] = out.get(p, ZERO) - ONE
-        lam = self.weight[v]
-        if lam:
-            out[rep] = out.get(rep, ZERO) - lam
-        return out
+        return {rep.concat(p): c for p, c in self.rels[v].terms.items()}
 
     # -- dimension data --------------------------------------------------------
 
     def layer_dims(self, degree: int) -> int:
         self.extend_to(degree)
         return len(self.layers[degree])
-
-    def block_dim(self, i: int, j: int, degree: int) -> int:
-        self.extend_to(degree)
-        return sum(1 for bid in self.layers[degree]
-                   if self.basis[bid].source == i and self.basis[bid].target == j)
 
 
 def _axpy(dst: dict, src: dict, coef) -> None:
@@ -602,29 +582,14 @@ class MembershipCertificate:
 class MembershipNotFound:
     quiver_label: str
     element: PathElement
-    degree_cap: int
 
 
-def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement,
-                 degree_cap: int | None = None,
-                 use_rewriting: bool = True):
+def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement):
     """Decide membership of x in the Pi^lambda relation ideal with a
-    certificate.  The engine is complete at cap = deg(x); larger caps are
-    accepted for interface compatibility."""
-    if degree_cap is None:
-        degree_cap = x.degree + 8
-    if x and degree_cap < x.degree:
-        raise DomainError(f"degree cap {degree_cap} is below the element degree {x.degree}")
-    quiver = build_extended(t)
-    weight = {i: FieldElem.of(w[i]) for i in range(t.n + 1)}
-    if use_rewriting:
-        greedy = _greedy_certificate(quiver, weight, x)
-        if greedy is not None:
-            return MembershipCertificate(str(t), w, x, tuple(greedy))
-    model = model_for(t, w)
-    terms = model.certificate(x)
+    certificate; the layered engine is complete, so no cap is needed."""
+    terms = model_for(t, w).certificate(x)
     if terms is None:
-        return MembershipNotFound(str(t), x, degree_cap)
+        return MembershipNotFound(str(t), x)
     return MembershipCertificate(str(t), w, x, tuple(terms))
 
 
@@ -644,77 +609,6 @@ def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
     q = build_extended(t)
     weight = {i: FieldElem.of(cert.weight[i]) for i in range(t.n + 1)}
     return expand_certificate(q, weight, cert.terms) == cert.element
-
-
-# ---------------------------------------------------------------------------
-# rewriting accelerator
-
-
-def _designated_loops(q: LabelledDoubleQuiver):
-    """Per vertex: the 2-loop through the highest-index incident arrow,
-    its sign inside rho_v, and the remaining loop terms."""
-    out = {}
-    for v in q.vertices:
-        loops: list[tuple[Path, FieldElem]] = []
-        for a in q.ordinary_arrows:
-            rev = q.arrow("~a" + str(a.index))
-            if a.tail == v:
-                loops.append((Path(v, (a, rev)), ONE))
-            if a.head == v:
-                loops.append((Path(v, (rev, a)), -ONE))
-        if not loops:
-            continue
-        lead = max(loops, key=lambda t: t[0].arrows[0].index)
-        out[v] = (lead, [l for l in loops if l is not lead])
-    return out
-
-
-def _greedy_certificate(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
-                        x: PathElement, max_steps: int = 400):
-    """Paper-style loop rewriting; returns certificate terms or None.
-
-    Rewrites the designated loop at a vertex into the rest of the relation.
-    Not confluent and not complete: None means "fall back", never "not a
-    member"."""
-    designated = _designated_loops(q)
-    g = dict(x.terms)
-    cert: dict[tuple[Path, int, Path], FieldElem] = {}
-    for _ in range(max_steps):
-        g = {p: c for p, c in g.items() if c}
-        if not g:
-            out = [(c, u, v, w) for (u, v, w), c in cert.items() if c]
-            out.sort(key=lambda t: (len(t[1]), len(t[3]), t[1].name(), t[3].name(), t[2]))
-            return out
-        hit = None
-        for p in sorted(g, key=lambda p: (-len(p), p.name())):
-            for k in range(len(p) - 1):
-                v = p.arrows[k].tail
-                if v not in designated:
-                    continue
-                (lead_path, _), _ = designated[v]
-                if p.arrows[k: k + 2] == lead_path.arrows:
-                    hit = (p, k, v)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return None
-        p, k, v = hit
-        (lead_path, sign), rest = designated[v]
-        coef = g.pop(p)
-        left = Path(p.source, p.arrows[:k])
-        right = Path(v, p.arrows[k + 2:])
-        key = (left, v, right)
-        cert[key] = cert.get(key, ZERO) + coef * sign
-        # x lead y = sign * x rho_v y - sign * x (rest - lam e_v) y
-        for loop, s in rest:
-            p2 = left.concat(loop).concat(right)
-            g[p2] = g.get(p2, ZERO) - coef * sign * s
-        lam = weight.get(v, ZERO)
-        if lam:
-            p2 = left.concat(right)
-            g[p2] = g.get(p2, ZERO) + coef * sign * lam
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +642,7 @@ def verify_zero_product(t: ExtDynkinType, w: Weight,
             if degree_cap is not None and entry.degree > degree_cap:
                 raise DomainError(
                     f"entry ({i},{j}) has degree {entry.degree} above the cap {degree_cap}")
-            res = ideal_member(t, w, entry, degree_cap)
+            res = ideal_member(t, w, entry)
             if isinstance(res, MembershipNotFound):
                 return ZeroProductReport(False, tuple(certs), (i, j), entry)
             certs.append(res)

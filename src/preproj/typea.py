@@ -19,15 +19,6 @@ def _poly_mul(a: list[FieldElem], b: list[FieldElem]) -> list[FieldElem]:
     return out
 
 
-def poly_shift(coeffs: tuple[FieldElem, ...], shift: FieldElem) -> tuple[FieldElem, ...]:
-    """Coefficients of p(z + shift) from those of p(z), ascending degree."""
-    out = [ZERO]
-    for c in reversed(coeffs):  # Horner: p = p*(z+shift) + c
-        out = _poly_mul(out, [shift, ONE])
-        out[0] = out[0] + c
-    return tuple(out[: len(coeffs)])
-
-
 @dataclass(frozen=True)
 class TypeAPresentation:
     """Relations of the corner algebra of ~A_n:
@@ -51,13 +42,13 @@ def presentation(n: int, w: Weight) -> TypeAPresentation:
         raise DomainError(f"weight has {len(w)} entries but ~A{n} has {n + 1} vertices")
     shift = dot_delta(t, w)
     xy: list[FieldElem] = [ONE]
+    yx: list[FieldElem] = [ONE]
     partial = ZERO
     for i in range(n + 1):
         partial = partial + w[i] if i >= 1 else partial
         xy = _poly_mul(xy, [partial, ONE])
-    xy_t = tuple(xy)
-    yx_t = poly_shift(xy_t, -shift)
-    return TypeAPresentation(n, shift, xy_t, yx_t)
+        yx = _poly_mul(yx, [partial - shift, ONE])
+    return TypeAPresentation(n, shift, tuple(xy), tuple(yx))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from preproj.pathalg import PathElement, multiply, relation_set, trivial_path
-from preproj.weights import ONE, ZERO
+from preproj.dynkin import Arrow, build_extended
+from preproj.pathalg import Path, PathElement, multiply, trivial_path
+from preproj.weights import FieldElem, ONE, ZERO
 
 
 def paths_by_degree(quiver, maxdeg):
@@ -40,10 +41,30 @@ def rank_of_rows(rows):
     return rank
 
 
+def quiver_relations(quiver, weight):
+    """rho_v = sum_{t(a)=v} a.~a - sum_{h(a)=v} ~a.a - lambda_v e_v for every
+    vertex, written out from the (index, tail, head) rows of the ordinary
+    arrows; weight maps vertices to values, missing vertices read as 0."""
+    terms = {v: {} for v in quiver.vertices}
+    for o in quiver.ordinary_arrows:
+        a, rev = Arrow(o.index, False, o.tail, o.head), Arrow(o.index, True, o.head, o.tail)
+        terms[o.tail][Path(o.tail, (a, rev))] = ONE
+        terms[o.head][Path(o.head, (rev, a))] = -ONE
+    for v in quiver.vertices:
+        terms[v][trivial_path(v)] = -FieldElem.of(weight.get(v, 0))
+    return {v: PathElement(terms[v]) for v in quiver.vertices}
+
+
+def oracle_relations(t, weight):
+    """The relations of ~X_n at a Weight, without the engine's relation_set."""
+    q = build_extended(t)
+    return quiver_relations(q, {v: weight[v] for v in q.vertices})
+
+
 def graded_ideal_span(quiver, degree):
     """Spanning elements u rho_v w of the given total degree at weight 0."""
     paths = paths_by_degree(quiver, degree)
-    rels = relation_set(quiver, {})
+    rels = quiver_relations(quiver, {})
     gens = []
     for a in range(0, max(degree - 1, 0)):
         b = degree - 2 - a
@@ -117,3 +138,21 @@ def det_int(matrix: tuple[tuple[int, ...], ...]) -> int:
     num = det.numerator
     assert det.denominator == 1
     return num
+
+
+def _poly_mul(a, b):
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_shift(coeffs, shift):
+    """Coefficients of p(z + shift) from those of p(z), ascending degree,
+    by Horner's rule p = p * (z + shift) + c."""
+    out = [ZERO]
+    for c in reversed(coeffs):
+        out = _poly_mul(out, [shift, ONE])
+        out[0] = out[0] + c
+    return tuple(out[: len(coeffs)])

@@ -173,3 +173,11 @@ def test_per_type_data_is_shared():
     for t in ALL_EXTENDED:
         assert cartan(t) is cartan(ExtDynkinType(t.family, t.n))
         assert build_extended(t) is build_extended(ExtDynkinType(t.family, t.n))
+
+
+def test_arrow_names_are_canonical_and_resolve():
+    for t in ALL_EXTENDED:
+        q = build_extended(t)
+        for a in q.arrows:
+            assert a.name == ("~a" if a.reverse else "a") + str(a.index)
+            assert q.arrow(a.name) is a

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import brute_graded_dims, brute_graded_member, paths_by_degree
+from oracles import (brute_graded_dims, brute_graded_member, oracle_relations,
+                     paths_by_degree)
 from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
 from preproj.errors import DomainError
 from preproj.fixtures import (H_E, MAP_FIXTURES, dim_pi_total,
@@ -11,8 +13,13 @@ from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
                              PathElement, check_certificate, format_element,
                              graded_dims_pi, hom_matrix, ideal_member,
                              model_for, multiply, parse_element, parse_path,
-                             relations_for, trivial_path, verify_zero_product)
-from preproj.weights import Weight, epsilon0
+                             relation_set, relations_for, trivial_path,
+                             verify_zero_product)
+from preproj.weights import FieldElem, Weight, epsilon0
+
+ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
+                + [ExtDynkinType("D", n) for n in range(4, 9)]
+                + [ExtDynkinType("E", n) for n in (6, 7, 8)])
 
 
 def elem(t, text):
@@ -184,7 +191,7 @@ def test_firstses_sign_flip_not_member():
     t = ExtDynkinType("D", 4)
     w0 = Weight.of([0] * 5)
     f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3  +  -1 * a4.~a1.a1.~a3 : 4->3")
-    res = ideal_member(t, w0, f, degree_cap=f.degree + 6)
+    res = ideal_member(t, w0, f)
     assert isinstance(res, MembershipNotFound)
     # independent oracle: the degree-4 graded span misses this element
     assert not brute_graded_member(build_extended(t), f)
@@ -216,7 +223,8 @@ def test_cap_below_degree_rejected():
     t = ExtDynkinType("D", 4)
     f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3")
     with pytest.raises(DomainError):
-        ideal_member(t, Weight.of([0] * 5), f, degree_cap=2)
+        verify_zero_product(t, Weight.of([0] * 5), [[f]], [[PathElement.unit(3)]],
+                            degree_cap=2)
 
 
 def test_membership_with_nonzero_weight():
@@ -229,6 +237,21 @@ def test_membership_with_nonzero_weight():
     # the same element is NOT in the ideal at weight 0
     res0 = ideal_member(t, Weight.of([0] * 5), rels[0])
     assert isinstance(res0, MembershipNotFound)
+
+
+@pytest.mark.parametrize("t", ALL_EXTENDED, ids=str)
+def test_relation_set_matches_oracle(t):
+    rng = random.Random(f"relations-{t}")
+    q = build_extended(t)
+    for k in range(6):
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(t.n + 1)]
+        if k % 2:
+            entries = [FieldElem(x, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                       for x in entries]
+        w = Weight.of(entries)
+        expected = oracle_relations(t, w)
+        assert relation_set(q, {v: w[v] for v in q.vertices}) == expected
+        assert model_for(t, w).rels == expected
 
 
 def test_filtered_dims_match_graded_dims():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poly_shift
 from preproj.dynkin import DynkinType, nakayama
 from preproj.errors import DomainError
-from preproj.typea import poly_shift, presentation, type_a_sequence
+from preproj.typea import presentation, type_a_sequence
 from preproj.weights import FieldElem, Weight, ZERO
 
 
