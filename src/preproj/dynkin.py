@@ -99,6 +99,10 @@ class Arrow:
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", ("~a" if self.reverse else "a") + str(self.index))
 
+    def __hash__(self) -> int:
+        # within one quiver (index, reverse) names the arrow; equality stays by value
+        return self.index << 1 | self.reverse
+
     def reversed_arrow(self) -> "Arrow":
         return Arrow(self.index, not self.reverse, self.head, self.tail)
 
@@ -199,12 +203,18 @@ def build_extended(t: ExtDynkinType) -> LabelledDoubleQuiver:
     return q
 
 
+# one shared frozen quiver per Dynkin type, built on first use
+_DYNKIN: dict[DynkinType, LabelledDoubleQuiver] = {}
+
+
 def build_dynkin(t: DynkinType) -> LabelledDoubleQuiver:
     """The double of the Dynkin quiver: the extended quiver minus vertex 0."""
-    ext_n = max(t.n, 2) if t.family == "A" else t.n
-    ext = build_extended(ExtDynkinType(t.family, ext_n))
-    sub = ext.full_subquiver(set(range(1, t.n + 1)))
-    return LabelledDoubleQuiver(sub.vertices, sub.arrows, type=None)
+    q = _DYNKIN.get(t)
+    if q is None:
+        ext_n = max(t.n, 2) if t.family == "A" else t.n
+        ext = build_extended(ExtDynkinType(t.family, ext_n))
+        q = _DYNKIN[t] = ext.full_subquiver(set(range(1, t.n + 1)))
+    return q
 
 
 def delta_vector(t: ExtDynkinType) -> tuple[int, ...]:

@@ -327,7 +327,12 @@ def _normalize_signs(psi: list[PathElement], phi: list[PathElement]):
 
 def _free_walks(rq: RepetitionQuiver, start: int, end: int, length: int,
                 limit: int = 64) -> list[Path]:
-    """All walks of the given length from start to end in the double."""
+    """Walks of the given length from start to end in the double, sorted by name.
+
+    The search is depth first over ``arrows_from`` and keeps only the first
+    ``limit`` walks it meets, so a longer walk list is cut before the sort;
+    ~E7 6 -> 1 and ~E8 7 -> 6 in the golden corpus reach the limit.
+    """
     out: list[Path] = []
 
     def go(v: int, remaining: int, arrows: list[Arrow]) -> None:

@@ -11,7 +11,7 @@ membership certificate can be pulled out of the stored elimination rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dynkin import (Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver,
                      build_dynkin, build_extended)
@@ -28,6 +28,8 @@ class Path:
 
     source: int
     arrows: tuple[Arrow, ...]
+    # paths key every table of a model, so the hash is computed once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         at = self.source
@@ -35,6 +37,10 @@ class Path:
             if a.tail != at:
                 raise DomainError(f"arrow {a.name} does not compose at vertex {at}")
             at = a.head
+        object.__setattr__(self, "_hash", hash((self.source, self.arrows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def target(self) -> int:

@@ -12,24 +12,31 @@ from .dynkin import ExtDynkinType, cartan, delta_vector
 from .errors import DomainError, SearchBudgetExceeded
 
 
+def _canon(x: int | Fraction) -> int | Fraction:
+    """An exact rational in canonical form: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True, order=False)
 class FieldElem:
     """An element a + b*i with exact rational a, b.
 
-    The total order is lexicographic on (re, im): it extends the order on
-    the rationals, is translation invariant, and every element is below
-    some integer, which is all the theory needs from it.
+    Each part is an int when it is integral and a Fraction otherwise, so
+    arithmetic on integral elements never builds a Fraction.  The total
+    order is lexicographic on (re, im): it extends the order on the
+    rationals, is translation invariant, and every element is below some
+    integer, which is all the theory needs from it.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     @staticmethod
     def of(x) -> "FieldElem":
         if isinstance(x, FieldElem):
             return x
         if isinstance(x, (int, Fraction)):
-            return FieldElem(Fraction(x))
+            return FieldElem(_canon(x))
         if isinstance(x, str):
             return parse_field_elem(x)
         raise DomainError(f"cannot coerce {x!r} to a field element")
@@ -37,8 +44,8 @@ class FieldElem:
     def __add__(self, other) -> "FieldElem":
         o = FieldElem.of(other)
         if not self.im and not o.im:
-            return FieldElem(self.re + o.re)
-        return FieldElem(self.re + o.re, self.im + o.im)
+            return FieldElem(_canon(self.re + o.re))
+        return FieldElem(_canon(self.re + o.re), _canon(self.im + o.im))
 
     __radd__ = __add__
 
@@ -48,20 +55,20 @@ class FieldElem:
     def __sub__(self, other) -> "FieldElem":
         o = FieldElem.of(other)
         if not self.im and not o.im:
-            return FieldElem(self.re - o.re)
-        return FieldElem(self.re - o.re, self.im - o.im)
+            return FieldElem(_canon(self.re - o.re))
+        return FieldElem(_canon(self.re - o.re), _canon(self.im - o.im))
 
     def __rsub__(self, other) -> "FieldElem":
         return FieldElem.of(other) - self
 
     def __mul__(self, other) -> "FieldElem":
         if isinstance(other, int):
-            return FieldElem(self.re * other, self.im * other)
+            return FieldElem(_canon(self.re * other), _canon(self.im * other))
         o = FieldElem.of(other)
         if not self.im and not o.im:
-            return FieldElem(self.re * o.re)
-        return FieldElem(self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re)
+            return FieldElem(_canon(self.re * o.re))
+        return FieldElem(_canon(self.re * o.re - self.im * o.im),
+                         _canon(self.re * o.im + self.im * o.re))
 
     __rmul__ = __mul__
 
@@ -70,7 +77,8 @@ class FieldElem:
         norm = o.re * o.re + o.im * o.im
         if norm == 0:
             raise ZeroDivisionError("division by zero field element")
-        return self * FieldElem(o.re / norm, -o.im / norm)
+        # Fraction(p, q), never p / q: int operands must not give a float
+        return self * FieldElem(_canon(Fraction(o.re, norm)), _canon(Fraction(-o.im, norm)))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -85,7 +93,7 @@ class FieldElem:
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
-    def _key(self) -> tuple[Fraction, Fraction]:
+    def _key(self) -> tuple[int | Fraction, int | Fraction]:
         return (self.re, self.im)
 
     def __lt__(self, other) -> bool:
@@ -111,7 +119,7 @@ class FieldElem:
 
 
 ZERO = FieldElem()
-ONE = FieldElem(Fraction(1))
+ONE = FieldElem(1)
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _ELEM_RE = re.compile(
@@ -132,19 +140,19 @@ def parse_field_elem(text: str) -> FieldElem:
 
 def _field_elem_of(m: re.Match) -> FieldElem:
     if m.group("im2") is not None:
-        im = m.group("im2").replace(" ", "")
+        im = re.sub(r"\s", "", m.group("im2"))
         if im in ("", "+"):
             im = "1"
         elif im == "-":
             im = "-1"
-        return FieldElem(Fraction(0), Fraction(im))
-    re_part = Fraction(m.group("re"))
-    im_part = Fraction(0)
+        return FieldElem(0, _canon(Fraction(im)))
+    re_part = _canon(Fraction(m.group("re")))
+    im_part = 0
     if m.group("im1") is not None:
-        s = m.group("im1").replace(" ", "")
+        s = re.sub(r"\s", "", m.group("im1"))
         if s in ("+", "-"):
             s += "1"
-        im_part = Fraction(s)
+        im_part = _canon(Fraction(s))
     return FieldElem(re_part, im_part)
 
 

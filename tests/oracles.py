@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent brute-force oracles used to freeze expected test values,
+and the seeded input generator of the parser fuzz tests.
 
 Everything here works from first principles (path enumeration, span ranks
 over exact rationals) and never calls the layered engine it checks.
@@ -156,3 +157,18 @@ def poly_shift(coeffs, shift):
         out = _poly_mul(out, [shift, ONE])
         out[0] = out[0] + c
     return tuple(out[: len(coeffs)])
+
+
+# the slots of "a + b i", each filled with a valid choice or a near miss
+FUZZ_SPACE = ("", "", " ", "\t", "\u2003")
+FUZZ_NUMBER = ("", "0", "3", "12", "3/4", "-5/6", "+2", "1/0", "0/0", "1/", "/2", ".5",
+               "1e3", "\u0663", "99999999999999999999")
+FUZZ_SIGN = ("", "+", "-", "--", "+-", ",")
+FUZZ_UNIT = ("", "i", "i", "j", "ii")
+FUZZ_SLOTS = (FUZZ_SPACE, FUZZ_NUMBER, FUZZ_SPACE, FUZZ_SIGN, FUZZ_SPACE, FUZZ_NUMBER,
+              FUZZ_SPACE, FUZZ_UNIT, FUZZ_SPACE)
+
+
+def fuzz_text(rng):
+    """A string shaped like a field element, some slots holding near misses."""
+    return "".join(rng.choice(slot) for slot in FUZZ_SLOTS)

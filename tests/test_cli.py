@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 
+from oracles import fuzz_text
 from preproj import cli
 from preproj.cli import dispatch, main, to_json
 from preproj.errors import InternalInconsistency
@@ -127,3 +129,23 @@ def test_verify_suite_knitting_json():
     assert data["failed"] == 0
     ids = [r["id"] for r in data["results"]]
     assert ids == sorted(ids)
+
+
+def test_decompose_weights_fuzz(capsys):
+    """Seeded argv for `decompose --weights`: exit 0, 1 or 2, never a traceback."""
+    rng = random.Random(43)
+    valid = ("0", "1", "2", "1/2", "2i", "1/2+i", "-1", "3-2i", "1/3 - 2/5 i")
+    codes = set()
+    for _ in range(400):
+        t, n = rng.choice([("~A5", 6), ("~D4", 5), ("~E6", 7)])
+        k = n if rng.random() < 0.8 else rng.randint(0, n + 2)
+        text = ",".join(fuzz_text(rng) if rng.random() < 0.1 else rng.choice(valid)
+                        for _ in range(k))
+        argv = ["decompose", "--type", t] + (
+            ["--weights=" + text] if rng.random() < 0.5 else ["--weights", text])
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

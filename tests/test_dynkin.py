@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from oracles import det_int, graph_automorphisms
-from preproj.dynkin import (DynkinType, ExtDynkinType, build_extended, cartan,
+from preproj.dynkin import (DynkinType, ExtDynkinType, build_dynkin, build_extended, cartan,
                             classify_components, dynkin_adjacency, nakayama,
                             parse_type)
 from preproj.errors import DomainError
@@ -173,6 +175,26 @@ def test_per_type_data_is_shared():
     for t in ALL_EXTENDED:
         assert cartan(t) is cartan(ExtDynkinType(t.family, t.n))
         assert build_extended(t) is build_extended(ExtDynkinType(t.family, t.n))
+
+
+ALL_DYNKIN = ([DynkinType("A", n) for n in range(1, 21)]
+              + [DynkinType("D", n) for n in range(4, 17)]
+              + [DynkinType("E", n) for n in (6, 7, 8)])
+
+# sha256 of every adjacency of ALL_DYNKIN, taken before build_dynkin kept one
+# quiver per type
+DYNKIN_ADJACENCY_SHA256 = "a55859e06c72ab4c452754c60728cc2aa73aa7b48eefc8799ecf6b63fedf6425"
+
+
+def test_dynkin_quiver_is_shared_and_unchanged():
+    for t in ALL_DYNKIN:
+        assert build_dynkin(t) is build_dynkin(DynkinType(t.family, t.n))
+        assert build_dynkin(t).vertices == tuple(range(1, t.n + 1))
+    adjacency = repr([(str(t), sorted(dynkin_adjacency(t).items())) for t in ALL_DYNKIN])
+    assert hashlib.sha256(adjacency.encode()).hexdigest() == DYNKIN_ADJACENCY_SHA256
+    for n in range(1, 21):
+        assert dynkin_adjacency(DynkinType("A", n)) == {
+            v: tuple(w for w in (v - 1, v + 1) if 1 <= w <= n) for v in range(1, n + 1)}
 
 
 def test_arrow_names_are_canonical_and_resolve():

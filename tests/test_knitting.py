@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -143,3 +144,26 @@ def test_extract_maps_e6_spec_example():
     assert sorted(x.degree for x in m.psi) == [4, 8]
     assert sorted(x.degree for x in m.phi) == [4, 8]
     assert m.report.ok
+
+
+# sha256 over the worked and golden sequences of every resolved sequence's
+# psi and phi entries and certificate terms (an unresolved one adds its id
+# only); taken before FieldElem kept integral parts as int
+MAP_CORPUS_SHA256 = "37f81b66fdf87ad3ffa36a9127db9d89a13f98f64dd2f206cac23afc4a30d11a"
+
+
+def test_map_corpus_is_frozen():
+    h = hashlib.sha256()
+    unresolved = []
+    for f in worked_example_fixtures() + golden_knit_fixtures():
+        m = extract_maps(knit(f.type, f.s_vertices, f.target))
+        if m.resolved:
+            record = ([format_element(x) for x in m.psi], [format_element(x) for x in m.phi],
+                      [[f"{c} * {u} rho_{v} {w}" for c, u, v, w in cert.terms]
+                       for cert in m.report.certificates])
+        else:
+            record = "unresolved"
+            unresolved.append(f.fixture_id)
+        h.update(f"{f.fixture_id} {record}\n".encode())
+    assert len(unresolved) == 1
+    assert h.hexdigest() == MAP_CORPUS_SHA256

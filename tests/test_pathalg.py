@@ -10,7 +10,7 @@ from preproj.errors import DomainError
 from preproj.fixtures import (H_E, MAP_FIXTURES, dim_pi_total,
                               dim_vertex_module, erdmann_a_entry)
 from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
-                             PathElement, check_certificate, format_element,
+                             Path, PathElement, check_certificate, format_element,
                              graded_dims_pi, hom_matrix, ideal_member,
                              model_for, multiply, parse_element, parse_path,
                              relation_set, relations_for, trivial_path,
@@ -24,6 +24,50 @@ ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
 
 def elem(t, text):
     return parse_element(build_extended(t), text)
+
+
+# -- paths as keys -------------------------------------------------------------
+
+def test_paths_built_separately_are_one_key():
+    q = build_extended(ExtDynkinType("D", 5))
+    ra1 = q.arrow("~a1")
+    walks = [parse_path(q, "a0.~a1.a1"), Path(0, (q.arrow("a0"), ra1, q.arrow("a1"))),
+             trivial_path(0).then(q.arrow("a0")).then(ra1).then(q.arrow("a1")),
+             parse_path(q, "a0").concat(parse_path(q, "~a1.a1")),
+             # arrows rebuilt by value rather than taken from the quiver
+             Path(0, tuple(a.reversed_arrow().reversed_arrow()
+                           for a in parse_path(q, "a0.~a1.a1").arrows))]
+    table = {walks[0]: 1}
+    for p in walks:
+        assert p == walks[0] and hash(p) == hash(walks[0])
+        table[p] = table.get(p, 0) + 1
+    assert table == {walks[0]: 1 + len(walks)}
+
+
+def test_reversed_arrow_twice_is_the_arrow():
+    for t in ALL_EXTENDED:
+        for a in build_extended(t).arrows:
+            back = a.reversed_arrow().reversed_arrow()
+            assert back is not a and back == a and hash(back) == hash(a)
+            assert a.reversed_arrow() != a
+
+
+def test_paths_of_different_types_with_shared_names_differ():
+    seen: dict[str, list] = {}
+    for t in ALL_EXTENDED:
+        for a in build_extended(t).arrows:
+            seen.setdefault(a.name, []).append(a)
+    pairs = 0
+    for arrows in seen.values():
+        for a in arrows:
+            for b in arrows:
+                if (a.tail, a.head) == (b.tail, b.head):
+                    continue
+                pairs += 1
+                pa, pb = Path(a.tail, (a,)), Path(b.tail, (b,))
+                assert a != b and pa != pb
+                assert len({pa: 0, pb: 1}) == 2
+    assert pairs > 0
 
 
 # -- multiplication ----------------------------------------------------------

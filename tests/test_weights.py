@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fuzz_text
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
 from preproj.weights import (FieldElem, ONE, Weight, ZERO, apply_reflections,
@@ -211,6 +212,104 @@ def test_field_elem_arithmetic_matches_pair_formula():
                 assert as_pair(x * y) == as_pair(y * x) == pair_product(a, b)
                 assert as_pair(x + y) == as_pair(y + x) == (a[0] + b[0], a[1] + b[1])
                 assert as_pair(x - y) == (a[0] - b[0], a[1] - b[1])
+
+
+def pair_quotient(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return pair_product(a, (b[0] / norm, -b[1] / norm))
+
+
+def assert_canonical(x):
+    """Each part is an int exactly when its denominator is 1, never a float."""
+    for part in (x.re, x.im):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (Fraction(part).denominator == 1)
+
+
+def test_field_elem_parts_are_canonical():
+    rng = random.Random(9)
+    scalars = [0, 1, -3, 4, Fraction(6, 3), Fraction(-1, 2), Fraction(3, 4)]
+    elems = [ZERO, ONE, FieldElem.of(-2), FieldElem.of(Fraction(1, 2)),
+             FieldElem(2, -3), FieldElem(Fraction(1, 2), 3), FieldElem(0, Fraction(-1, 3)),
+             # built directly with integral Fraction parts: results are canonical anyway
+             FieldElem(Fraction(4), Fraction(0)), FieldElem(Fraction(4), Fraction(2))]
+    elems += [rand_elem(rng) for _ in range(4)]
+    for x in scalars:
+        assert_canonical(FieldElem.of(x))
+    for x in elems:
+        a = as_pair(x)
+        for y in scalars + elems:
+            b = as_pair(FieldElem.of(y))
+            for got, want in ((x + y, (a[0] + b[0], a[1] + b[1])),
+                              (y + x, (a[0] + b[0], a[1] + b[1])),
+                              (x - y, (a[0] - b[0], a[1] - b[1])),
+                              (y - x, (b[0] - a[0], b[1] - a[1])),
+                              (x * y, pair_product(a, b)), (y * x, pair_product(a, b))):
+                assert_canonical(got)
+                assert as_pair(got) == want
+            if any(b):
+                got = x / y
+                assert_canonical(got)
+                assert as_pair(got) == pair_quotient(a, b)
+            if any(a) and isinstance(y, FieldElem):
+                got = y / x
+                assert_canonical(got)
+                assert as_pair(got) == pair_quotient(b, a)
+
+
+def test_field_elem_integral_parts_compare_and_hash_alike():
+    assert ZERO.re == 0 and type(ZERO.re) is int and type(ONE.re) is int
+    assert FieldElem(Fraction(3)) == FieldElem(3)
+    assert hash(FieldElem(Fraction(3))) == hash(FieldElem(3))
+    assert hash(FieldElem(Fraction(3), Fraction(-2))) == hash(FieldElem(3, -2))
+    half = ONE / FieldElem(2)
+    assert half == FieldElem(Fraction(1, 2)) and str(half) == "1/2"
+    assert type(half.re) is Fraction and type(half.im) is int
+    assert type((half + half).re) is int
+
+
+def test_parse_gives_canonical_parts():
+    for text in ("6/3", "4/2+6/3i", "-2/4 i", "3", "i", "-i", "0/5", "1/2-8/4i"):
+        x = parse_field_elem(text)
+        assert_canonical(x)
+        assert parse_field_elem(format_field_elem(x)) == x
+
+
+def test_parse_whitespace_inside_imaginary_part():
+    assert parse_field_elem("1 +\t7i") == FieldElem(1, 7)
+    assert parse_field_elem("-\t i") == FieldElem(0, -1)
+
+
+def test_parse_field_elem_fuzz():
+    rng = random.Random(41)
+    parsed = 0
+    for _ in range(3000):
+        text = fuzz_text(rng)
+        try:
+            x = parse_field_elem(text)
+        except DomainError:
+            continue
+        parsed += 1
+        assert_canonical(x)
+        assert parse_field_elem(format_field_elem(x)) == x, text
+    assert parsed > 100
+
+
+def test_parse_weight_fuzz():
+    rng = random.Random(42)
+    parsed = 0
+    for _ in range(1000):
+        text = ",".join(fuzz_text(rng) if rng.random() < 0.3 else rng.choice(("0", "-1", "2/4", "i"))
+                        for _ in range(rng.randint(1, 4)))
+        try:
+            w = parse_weight(text)
+        except DomainError:
+            continue
+        parsed += 1
+        for x in w.entries:
+            assert_canonical(x)
+        assert parse_weight(format_weight(w)) == w, text
+    assert parsed > 200
 
 
 def dense_reflection(cext, w, i):
