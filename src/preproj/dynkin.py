@@ -79,7 +79,7 @@ def parse_type(text: str) -> ExtDynkinType | DynkinType:
     text = text.strip()
     extended = text.startswith("~")
     body = text[1:] if extended else text
-    if not body or body[0] not in FAMILIES or not body[1:].isdigit():
+    if not body or body[0] not in FAMILIES or not body[1:].isdecimal():
         raise DomainError(f"cannot parse Dynkin type {text!r}")
     family, n = body[0], int(body[1:])
     return ExtDynkinType(family, n) if extended else DynkinType(family, n)
@@ -93,15 +93,16 @@ class Arrow:
     reverse: bool
     tail: int
     head: int
-    # stored once: names key the multiplication tables of every model
+    # id is unique within a quiver, is the hash and keys every table; name is for print/parse
+    id: int = field(init=False, repr=False, compare=False)
     name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", self.index << 1 | self.reverse)
         object.__setattr__(self, "name", ("~a" if self.reverse else "a") + str(self.index))
 
     def __hash__(self) -> int:
-        # within one quiver (index, reverse) names the arrow; equality stays by value
-        return self.index << 1 | self.reverse
+        return self.id
 
     def reversed_arrow(self) -> "Arrow":
         return Arrow(self.index, not self.reverse, self.head, self.tail)
@@ -139,31 +140,39 @@ class LabelledDoubleQuiver:
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
     type: ExtDynkinType | None = None
+    _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    _out: dict[int, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
+    _neighbours: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    ordinary_arrows: tuple[Arrow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise InternalInconsistency("duplicate arrow labels")
-
-    @property
-    def ordinary_arrows(self) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if not a.reverse)
+        by_name: dict[str, Arrow] = {}
+        out: dict[int, list[Arrow]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            if a.name in by_name:
+                raise InternalInconsistency("duplicate arrow labels")
+            by_name[a.name] = a
+            out.setdefault(a.tail, []).append(a)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
+        object.__setattr__(self, "_neighbours", {v: tuple(sorted({a.head for a in arrows}))
+                                                 for v, arrows in out.items()})
+        object.__setattr__(self, "ordinary_arrows", tuple(a for a in self.arrows if not a.reverse))
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise DomainError(f"no arrow named {name!r}")
+        a = self._by_name.get(name)
+        if a is None:
+            raise DomainError(f"no arrow named {name!r}")
+        return a
 
     def arrows_from(self, v: int) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.tail == v)
+        return self._out.get(v, ())
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        out = sorted({a.head for a in self.arrows if a.tail == v})
-        return tuple(out)
+        return self._neighbours.get(v, ())
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return {v: self.neighbours(v) for v in self.vertices}
+        return {v: self._neighbours[v] for v in self.vertices}
 
     def sink_class(self) -> frozenset[int]:
         """Vertices whose incident ordinary arrows all point inwards.
@@ -172,8 +181,7 @@ class LabelledDoubleQuiver:
         bipartite; paths in the double then alternate ordinary and
         reverse arrows.
         """
-        sinks = {v for v in self.vertices
-                 if all(a.head == v for a in self.ordinary_arrows if v in (a.tail, a.head))}
+        sinks = {v for v in self.vertices if all(a.reverse for a in self.arrows_from(v))}
         sources = set(self.vertices) - sinks
         for a in self.ordinary_arrows:
             if a.tail in sinks or a.head in sources:

@@ -12,6 +12,11 @@ from .pathalg import (Path, PathElement, ZeroProductReport, model_for,
                       multiply, verify_zero_product)
 from .weights import Weight
 
+# walks kept per search, in depth-first order (see _free_walks)
+WALK_LIMIT = 64
+# sign/candidate assignments tried before extract_maps gives up
+SIGN_BUDGET = 4096
+
 
 class RepetitionQuiver:
     """Column structure of rep(~Q), drawn to the left of column 1.
@@ -20,7 +25,8 @@ class RepetitionQuiver:
     columns, source-class vertices in even ones; arrows run from
     (col+1, u) to (col, v) for every adjacency {u, v}.  Steps inside a copy
     (even column to odd column) carry ordinary arrows, steps between
-    copies carry reverse arrows.
+    copies carry reverse arrows.  Types ~D and ~E have simple edges, so one
+    arrow of the double runs u -> v for each adjacency.
     """
 
     def __init__(self, t: ExtDynkinType):
@@ -29,7 +35,7 @@ class RepetitionQuiver:
         self.type = t
         self.quiver = build_extended(t)
         self.sinks = self.quiver.sink_class()
-        self.adjacency = self.quiver.adjacency()
+        self.steps = {(a.tail, a.head): a for a in self.quiver.arrows}
 
     def column_class(self, col: int) -> frozenset[int]:
         if col % 2 == 1:
@@ -42,15 +48,12 @@ class RepetitionQuiver:
 
     def step_arrow(self, col_from: int, u: int, v: int) -> Arrow:
         """The double-quiver arrow u -> v for a step (col_from -> col_from-1)."""
-        if v not in self.adjacency[u]:
+        a = self.steps.get((u, v))
+        if a is None:
             raise DomainError(f"{u} and {v} are not adjacent")
-        for a in self.quiver.arrows_from(u):
-            if a.head != v:
-                continue
-            inside_copy = col_from % 2 == 0
-            if a.reverse != inside_copy:
-                return a
-        raise InternalInconsistency("missing arrow in the double quiver")
+        if a.reverse == (col_from % 2 == 0):
+            raise InternalInconsistency(f"arrow {a} does not step out of column {col_from}")
+        return a
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
             raise DomainError(f"knitting exceeded the column guard {guard}")
         for k in rq.column_class(col):
             total = 0
-            for j in rq.adjacency[k]:
+            for j in rq.quiver.neighbours(k):
                 if j in s:
                     continue
                 total += values.get((col - 1, j), 0)
@@ -213,13 +216,12 @@ class ExtractedMaps:
 
 
 def _pattern_walks(p: Pattern, rq: RepetitionQuiver, start: tuple[int, int],
-                   end: tuple[int, int], through_nonzero_uncircled: bool,
-                   limit: int = 64) -> list[Path]:
-    """Rightward walks in the pattern from start to end, as quiver paths."""
+                   end: tuple[int, int]) -> list[Path]:
+    """Rightward pattern walks from start to end through nonzero uncircled cells."""
     out: list[Path] = []
 
     def go(cell: tuple[int, int], path: list[Arrow]) -> None:
-        if len(out) >= limit:
+        if len(out) >= WALK_LIMIT:
             return
         col, v = cell
         if cell == end:
@@ -227,11 +229,10 @@ def _pattern_walks(p: Pattern, rq: RepetitionQuiver, start: tuple[int, int],
             return
         if col <= end[0]:
             return
-        for u in rq.adjacency[v]:
+        for u in rq.quiver.neighbours(v):
             nxt = (col - 1, u)
-            if nxt != end and through_nonzero_uncircled:
-                if p.values.get(nxt, 0) == 0 or u in p.s_vertices:
-                    continue
+            if nxt != end and (p.values.get(nxt, 0) == 0 or u in p.s_vertices):
+                continue
             if nxt[0] < end[0] or (nxt[0] == end[0] and u != end[1]):
                 continue
             go(nxt, path + [rq.step_arrow(col, v, u)])
@@ -245,7 +246,7 @@ def _reverse_path(p: Path) -> Path:
     return Path(p.target, arrows)
 
 
-def extract_maps(r: KnitResult, sign_budget: int = 4096) -> ExtractedMaps:
+def extract_maps(r: KnitResult) -> ExtractedMaps:
     """Candidate maps read off the pattern, with a bounded search for a
     sign/candidate assignment certified by a zero product.
 
@@ -265,7 +266,7 @@ def extract_maps(r: KnitResult, sign_budget: int = 4096) -> ExtractedMaps:
     phi_cands: list[tuple[PathElement, ...]] = []
     kcol, kvert = p.kernel_cell
     for cell in summands:
-        walks = _pattern_walks(p, rq, cell, p.boxed, True)
+        walks = _pattern_walks(p, rq, cell, p.boxed)
         if not walks:
             raise DomainError(f"no pattern path from {cell} to the box")
         psi_cands.append(tuple(PathElement.of_path(_reverse_path(w)) for w in walks))
@@ -276,8 +277,7 @@ def extract_maps(r: KnitResult, sign_budget: int = 4096) -> ExtractedMaps:
         phi_cands.append(tuple(PathElement.of_path(w) for w in phis))
 
     w0 = Weight.of([0] * (r.type.n + 1))
-    m = len(summands)
-    budget = sign_budget
+    budget = SIGN_BUDGET
 
     def assignments(cands: list[tuple[PathElement, ...]]):
         def rec(k: int, chosen: list[PathElement]):
@@ -298,9 +298,7 @@ def extract_maps(r: KnitResult, sign_budget: int = 4096) -> ExtractedMaps:
             if budget < 0:
                 return ExtractedMaps(r, summands, None, None, False,
                                      tuple(psi_cands), tuple(phi_cands))
-            total = PathElement.zero()
-            for k in range(m):
-                total = total + multiply(psi_choice[k], phi_choice[k])
+            total = PathElement.sum(multiply(x, y) for x, y in zip(psi_choice, phi_choice))
             if model.is_zero(total):
                 psi_choice, phi_choice = _normalize_signs(psi_choice, phi_choice)
                 report = verify_zero_product(r.type, w0, [psi_choice],
@@ -325,18 +323,17 @@ def _normalize_signs(psi: list[PathElement], phi: list[PathElement]):
     return out_psi, out_phi
 
 
-def _free_walks(rq: RepetitionQuiver, start: int, end: int, length: int,
-                limit: int = 64) -> list[Path]:
+def _free_walks(rq: RepetitionQuiver, start: int, end: int, length: int) -> list[Path]:
     """Walks of the given length from start to end in the double, sorted by name.
 
     The search is depth first over ``arrows_from`` and keeps only the first
-    ``limit`` walks it meets, so a longer walk list is cut before the sort;
+    ``WALK_LIMIT`` walks it meets, so a longer walk list is cut before the sort;
     ~E7 6 -> 1 and ~E8 7 -> 6 in the golden corpus reach the limit.
     """
     out: list[Path] = []
 
     def go(v: int, remaining: int, arrows: list[Arrow]) -> None:
-        if len(out) >= limit:
+        if len(out) >= WALK_LIMIT:
             return
         if remaining == 0:
             if v == end:

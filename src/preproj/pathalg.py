@@ -120,17 +120,23 @@ class PathElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "PathElement") -> "PathElement":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, ZERO) + c
+    @staticmethod
+    def sum(parts) -> "PathElement":
+        """The sum of the parts in one dict; a path whose coefficient cancels
+        is dropped at once, so a later term for it comes last, as after +."""
+        out: dict[Path, FieldElem] = {}
+        for part in parts:
+            for p, c in part.terms.items():
+                out[p] = out.get(p, ZERO) + c
+                if not out[p]:
+                    del out[p]
         return PathElement(out)
 
+    def __add__(self, other: "PathElement") -> "PathElement":
+        return PathElement.sum((self, other))
+
     def __sub__(self, other: "PathElement") -> "PathElement":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, ZERO) - c
-        return PathElement(out)
+        return self + -other
 
     def scale(self, c) -> "PathElement":
         c = FieldElem.of(c)
@@ -198,26 +204,16 @@ def parse_element(q: LabelledDoubleQuiver, text: str) -> PathElement:
 
 def relation_set(q: LabelledDoubleQuiver, weight: dict[int, FieldElem]) -> dict[int, PathElement]:
     """rho_v = sum_{t(a)=v} a.~a - sum_{h(a)=v} ~a.a - lambda_v e_v."""
-    out = {}
+    terms: dict[int, dict[Path, FieldElem]] = {v: {} for v in q.vertices}
+    for a in q.ordinary_arrows:
+        rev = q.arrow("~" + a.name)
+        terms[a.tail][Path(a.tail, (a, rev))] = ONE
+        terms[a.head][Path(a.head, (rev, a))] = -ONE
     for v in q.vertices:
-        terms: dict[Path, FieldElem] = {}
-        for a in q.ordinary_arrows:
-            rev = q.arrow("~a" + str(a.index))
-            if a.tail == v:
-                terms[Path(v, (a, rev))] = ONE
-            if a.head == v:
-                p = Path(v, (rev, a))
-                terms[p] = terms.get(p, ZERO) - ONE
         lam = weight.get(v, ZERO)
         if lam:
-            terms[trivial_path(v)] = terms.get(trivial_path(v), ZERO) - lam
-        out[v] = PathElement(terms)
-    return out
-
-
-def relations_for(t: ExtDynkinType, w: Weight) -> dict[int, PathElement]:
-    q = build_extended(t)
-    return relation_set(q, {i: w[i] for i in range(t.n + 1)})
+            terms[v][trivial_path(v)] = -lam
+    return {v: PathElement(terms[v]) for v in q.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,8 @@ class QuotientModel:
         self.rels = relation_set(quiver, self.weight)
         self.basis: list[_Basis] = []
         self.layers: list[list[int]] = []
-        self.mul: dict[tuple[int, str], dict[int, FieldElem]] = {}
+        # (basis id, arrow id) -> normal form of basis element times arrow
+        self.mul: dict[tuple[int, int], dict[int, FieldElem]] = {}
         # per degree: reduced relation rows with provenance over the raw
         # (c, v) rows, used both to build layers and to extract certificates
         self.rows: list[list[tuple[int, int]]] = [[]]
@@ -275,7 +272,7 @@ class QuotientModel:
 
     def _build_layer(self, d: int) -> None:
         syms = self._symbols(d)
-        sym_index = {(bid, a.name): k for k, (bid, a) in enumerate(syms)}
+        sym_index = {(bid, a.id): k for k, (bid, a) in enumerate(syms)}
 
         raw_rows: list[tuple[int, int]] = []
         vecs: list[tuple[dict[int, FieldElem], dict[int, FieldElem]]] = []
@@ -287,14 +284,14 @@ class QuotientModel:
                 tail: dict[int, FieldElem] = {}
 
                 def accumulate(first: Arrow, second: Arrow, sign: FieldElem) -> None:
-                    prod = self.mul[(cid, first.name)]
+                    prod = self.mul[(cid, first.id)]
                     for bid, coef in prod.items():
                         coef = coef * sign
                         if self.basis[bid].degree == d - 1:
-                            k = sym_index[(bid, second.name)]
+                            k = sym_index[(bid, second.id)]
                             sym[k] = sym.get(k, ZERO) + coef
                         else:
-                            for b2, c2 in self.mul[(bid, second.name)].items():
+                            for b2, c2 in self.mul[(bid, second.id)].items():
                                 tail[b2] = tail.get(b2, ZERO) + coef * c2
 
                 for path, sign in self.rels[v].terms.items():
@@ -365,7 +362,7 @@ class QuotientModel:
 
         for k, (bid, a) in enumerate(syms):
             if k in sym_to_basis:
-                self.mul[(bid, a.name)] = {sym_to_basis[k]: ONE}
+                self.mul[(bid, a.id)] = {sym_to_basis[k]: ONE}
                 continue
             row = ech[pivots[k]]
             vec: dict[int, FieldElem] = {}
@@ -374,7 +371,7 @@ class QuotientModel:
                     vec[sym_to_basis[k2]] = -x
             for b2, x in row["tail"].items():
                 vec[b2] = vec.get(b2, ZERO) - x
-            self.mul[(bid, a.name)] = {b2: x for b2, x in vec.items() if x}
+            self.mul[(bid, a.id)] = {b2: x for b2, x in vec.items() if x}
 
         self.rows.append(raw_rows)
         self.echelon.append({"rows": ech, "pivots": pivots,
@@ -395,7 +392,7 @@ class QuotientModel:
                 continue
             out: dict[int, FieldElem] = {}
             for bid, coef in vec.items():
-                for b2, c2 in self.mul[(bid, a.name)].items():
+                for b2, c2 in self.mul[(bid, a.id)].items():
                     out[b2] = out.get(b2, ZERO) + coef * c2
             vec = {k: x for k, x in out.items() if x}
             self._nf_cache[done] = vec
@@ -472,7 +469,7 @@ class QuotientModel:
             b = self.basis[bid]
             delta[b.rep] = delta.get(b.rep, ZERO) - coef * c
             if b.degree == top - 1:
-                k = info["sym_index"][(bid, last.name)]
+                k = info["sym_index"][(bid, last.id)]
                 sym_sink[k] = sym_sink.get(k, ZERO) + coef * c
             else:
                 p2 = b.rep.then(last)
@@ -544,11 +541,10 @@ def model_for_dynkin(t: DynkinType) -> QuotientModel:
     return _MODELS[key]
 
 
-def graded_dims_pi(t: DynkinType, max_degree: int | None = None
-                   ) -> tuple[tuple[int, ...], int]:
+def graded_dims_pi(t: DynkinType) -> tuple[tuple[int, ...], int]:
     """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total."""
     model = model_for_dynkin(t)
-    guard = max_degree if max_degree is not None else 2 * t.coxeter_number + 2
+    guard = 2 * t.coxeter_number + 2
     dims = []
     for d in range(guard + 1):
         dim = model.layer_dims(d)
@@ -603,12 +599,9 @@ def expand_certificate(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
                        terms) -> PathElement:
     """Free-algebra expansion of certificate terms; no linear algebra."""
     rels = relation_set(q, weight)
-    total = PathElement.zero()
-    for coef, left, v, right in terms:
-        piece = multiply(multiply(PathElement.of_path(left), rels[v]),
-                         PathElement.of_path(right))
-        total = total + piece.scale(coef)
-    return total
+    return PathElement.sum(
+        multiply(multiply(PathElement.of_path(u), rels[v]), PathElement.of_path(w)).scale(c)
+        for c, u, v, w in terms)
 
 
 def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
@@ -642,9 +635,7 @@ def verify_zero_product(t: ExtDynkinType, w: Weight,
     certs = []
     for i in range(len(psi)):
         for j in range(len(phi[0])):
-            entry = PathElement.zero()
-            for k in range(len(phi)):
-                entry = entry + multiply(psi[i][k], phi[k][j])
+            entry = PathElement.sum(multiply(psi[i][k], phi[k][j]) for k in range(len(phi)))
             if degree_cap is not None and entry.degree > degree_cap:
                 raise DomainError(
                     f"entry ({i},{j}) has degree {entry.degree} above the cap {degree_cap}")

@@ -108,9 +108,6 @@ class FieldElem:
     def __ge__(self, other) -> bool:
         return self._key() >= FieldElem.of(other)._key()
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __str__(self) -> str:
         return format_field_elem(self)
 
@@ -285,6 +282,11 @@ def classify_weight(t: ExtDynkinType, w: Weight) -> WeightClass:
 
 
 QUASI_DOM_CAP = 10 ** 6
+# firings before numbers_game gives up
+NUMBERS_GAME_STEPS = 200_000
+# configurations resolve_to_smooth tries, and the largest entry each may have
+SMOOTH_CANDIDATES = 20_000
+CANDIDATE_MAX_ENTRY = 3
 
 
 def quasi_dominantize(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
@@ -315,13 +317,12 @@ def schedler_configuration(t: ExtDynkinType) -> Weight:
     return Weight.of([1 - sum(d[1:])] + [1] * t.n)
 
 
-def numbers_game(t: ExtDynkinType, w: Weight, max_steps: int = 200_000
-                 ) -> tuple[Weight, list[int]]:
+def numbers_game(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
     """Fire negative vertices (any index, most negative first) until none
     remain.  Returns the terminal weight and the firing sequence."""
     _check_length(t, w)
     fired: list[int] = []
-    for _ in range(max_steps):
+    for _ in range(NUMBERS_GAME_STEPS):
         neg = [i for i in range(t.n + 1) if w[i] < ZERO]
         if not neg:
             return w, fired
@@ -331,36 +332,32 @@ def numbers_game(t: ExtDynkinType, w: Weight, max_steps: int = 200_000
     raise SearchBudgetExceeded("numbers game did not terminate within the step budget")
 
 
-def _candidate_positives(t: ExtDynkinType, max_entry: int = 3):
+def _candidate_positives(t: ExtDynkinType):
     """Integer weights with all non-extending entries positive, on the
     level-1 hyperplane, ordered by total size."""
     n = t.n
     d = delta_vector(t)
     yield schedler_configuration(t)
-    pools: list[tuple[int, ...]] = []
-    for total in range(n, max_entry * n + 1):
-        for comp in _compositions(total, n, max_entry):
-            pools.append(comp)
-    for comp in pools:
-        w = Weight.of([1 - sum(c * d[i + 1] for i, c in enumerate(comp))] + list(comp))
-        if w != schedler_configuration(t):
-            yield w
+    for total in range(n, CANDIDATE_MAX_ENTRY * n + 1):
+        for comp in _compositions(total, n):
+            w = Weight.of([1 - sum(c * d[i + 1] for i, c in enumerate(comp))] + list(comp))
+            if w != schedler_configuration(t):
+                yield w
 
 
-def _compositions(total: int, parts: int, max_entry: int):
+def _compositions(total: int, parts: int):
     if parts == 1:
-        if 1 <= total <= max_entry:
+        if 1 <= total <= CANDIDATE_MAX_ENTRY:
             yield (total,)
         return
-    for first in range(1, max_entry + 1):
+    for first in range(1, CANDIDATE_MAX_ENTRY + 1):
         rest = total - first
-        if parts - 1 <= rest <= (parts - 1) * max_entry:
-            for tail in _compositions(rest, parts - 1, max_entry):
+        if parts - 1 <= rest <= (parts - 1) * CANDIDATE_MAX_ENTRY:
+            for tail in _compositions(rest, parts - 1):
                 yield (first,) + tail
 
 
-def resolve_to_smooth(t: ExtDynkinType, max_candidates: int = 20_000
-                      ) -> tuple[list[int], Weight]:
+def resolve_to_smooth(t: ExtDynkinType) -> tuple[list[int], Weight]:
     """A reflection sequence rho with rho(eps_0)_i > 0 for all i >= 1.
 
     Searches small all-positive integer configurations mu on the level-1
@@ -371,7 +368,7 @@ def resolve_to_smooth(t: ExtDynkinType, max_candidates: int = 20_000
     tried = 0
     for mu in _candidate_positives(t):
         tried += 1
-        if tried > max_candidates:
+        if tried > SMOOTH_CANDIDATES:
             break
         try:
             terminal, fired = numbers_game(t, mu)

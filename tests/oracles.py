@@ -172,3 +172,60 @@ FUZZ_SLOTS = (FUZZ_SPACE, FUZZ_NUMBER, FUZZ_SPACE, FUZZ_SIGN, FUZZ_SPACE, FUZZ_N
 def fuzz_text(rng):
     """A string shaped like a field element, some slots holding near misses."""
     return "".join(rng.choice(slot) for slot in FUZZ_SLOTS)
+
+
+# the argv slots of the subcommands other than decompose, each holding valid
+# choices and near misses; ranks stay at 8 or below, so every run is quick
+FUZZ_EXT_TYPES = ("~D4", "~D5", "~D8", "~E6", "~E7", "~E8", "~A2", "~A5", "~A8", " ~D6",
+                  "~D04", "~D٤", "D5", "~A1", "~D3", "~E9", "~F4", "~", "", "~d4",
+                  "~D²", "~D-4")
+FUZZ_DYNKIN_TYPES = ("A1", "A8", "D4", "D8", "E6", "E7", "E8", " D5", "A0", "D3", "E9",
+                     "~E6", "G2", "E", "E²", "A+3")
+FUZZ_VERTEX = ("0", "1", "2", "3", "4", "5", "6", "-1", "99", "x", "", " 3", "4.0",
+               "٤", "²")
+FUZZ_SUITES = ("dims", "knitting", "intersection", "maps", "all", "map", "ALL", "", " dims")
+FUZZ_CAPS = ("-3", "0", "1", "x", "", "1.5")
+FUZZ_FORMATS = ("text", "json", "xml", "")
+FUZZ_EXTRAS = ("--bogus", "--type", "--S", "-h", "extra")
+
+
+def fuzz_argv(rng):
+    """A seeded argv for knit, dims, intersect, resolve, presentation or
+    verify, with near misses in some slots.  ``--maps`` is only asked of
+    ~D4 and ~D5, and verify reaches the maps suite only with a cap below the
+    degree of every product, so that it stops at the first entry."""
+    cmd = rng.choice(("knit", "dims", "intersect", "resolve", "presentation", "verify"))
+    argv = [cmd]
+    if cmd == "knit":
+        t = rng.choice(("~D4", "~D5", "~D7", "~E6", "~E8") if rng.random() < 0.8
+                       else FUZZ_EXT_TYPES)
+        vertex = lambda: rng.choice(FUZZ_VERTEX) if rng.random() < 0.2 else str(rng.randint(1, 8))
+        s = [vertex() for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.8:
+            s.insert(0, "0")
+        argv += ["--type", t, "--S", ",".join(s), "--target", vertex()]
+        if t.strip() in ("~D4", "~D5") and rng.random() < 0.5:
+            argv.append("--maps")
+        if rng.random() < 0.3:
+            argv.append("--ascii")
+    elif cmd == "dims":
+        argv += ["--type", rng.choice(FUZZ_DYNKIN_TYPES)]
+    elif cmd == "presentation":
+        n = rng.randint(1, 9)
+        entries = [rng.choice(("0", "1", "-1", "1/2", "i")) for _ in range(n)]
+        if rng.random() < 0.2:
+            entries[rng.randrange(n)] = fuzz_text(rng)
+        argv += ["--type", rng.choice((f"~A{n - 1}", "~A3", "~D4")),
+                 "--weights=" + ",".join(entries)]
+    elif cmd == "verify":
+        suite = rng.choice(FUZZ_SUITES)
+        argv += ["--suite", suite]
+        if suite in ("maps", "all") or rng.random() < 0.3:
+            argv += ["--cap", rng.choice(FUZZ_CAPS)]
+    else:
+        argv += ["--type", rng.choice(FUZZ_EXT_TYPES)]
+    if rng.random() < 0.5:
+        argv += ["--format", rng.choice(FUZZ_FORMATS)]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(FUZZ_EXTRAS))
+    return argv

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 
-from oracles import fuzz_text
+from oracles import fuzz_argv, fuzz_text
 from preproj import cli
 from preproj.cli import dispatch, main, to_json
 from preproj.errors import InternalInconsistency
@@ -147,5 +147,23 @@ def test_decompose_weights_fuzz(capsys):
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out + err, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_subcommand_argv_fuzz(capsys):
+    """Seeded argv for every subcommand but decompose: dispatch returns
+    exit code 0, 1 or 2 and lets no exception escape."""
+    rng = random.Random(47)
+    codes = set()
+    for _ in range(300):
+        argv = fuzz_argv(rng)
+        try:
+            code, out = dispatch(argv)
+        except Exception as exc:  # any escaping exception is the failure
+            raise AssertionError(f"{argv}: {exc!r}") from exc
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out, argv
         codes.add(code)
     assert codes == {0, 1, 2}

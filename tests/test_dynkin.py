@@ -6,7 +6,8 @@ from oracles import det_int, graph_automorphisms
 from preproj.dynkin import (DynkinType, ExtDynkinType, build_dynkin, build_extended, cartan,
                             classify_components, dynkin_adjacency, nakayama,
                             parse_type)
-from preproj.errors import DomainError
+from preproj.errors import DomainError, InternalInconsistency
+from preproj.knitting import RepetitionQuiver
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
@@ -59,6 +60,10 @@ def test_parse_and_serialize():
     assert parse_type("A5") == DynkinType("A", 5)
     with pytest.raises(DomainError):
         parse_type("F4")
+    # '²' passes str.isdigit but not int()
+    for text in ("E²", "~D²", "A1²"):
+        with pytest.raises(DomainError):
+            parse_type(text)
 
 
 def test_cartan_a2():
@@ -203,3 +208,63 @@ def test_arrow_names_are_canonical_and_resolve():
         for a in q.arrows:
             assert a.name == ("~a" if a.reverse else "a") + str(a.index)
             assert q.arrow(a.name) is a
+
+
+def all_quivers():
+    return ([build_extended(t) for t in ALL_EXTENDED]
+            + [build_dynkin(t) for t in ALL_DYNKIN])
+
+
+def test_quiver_tables_equal_scans_of_the_arrows():
+    for q in all_quivers():
+        out = {v: tuple(a for a in q.arrows if a.tail == v) for v in q.vertices}
+        nbrs = {v: tuple(sorted({a.head for a in out[v]})) for v in q.vertices}
+        for v in q.vertices:
+            assert q.arrows_from(v) == out[v]
+            assert q.neighbours(v) == nbrs[v]
+        assert list(q.adjacency().items()) == list(nbrs.items())
+        assert q.ordinary_arrows == tuple(a for a in q.arrows if not a.reverse)
+        for v in (-1, max(q.vertices) + 1):
+            assert q.arrows_from(v) == () and q.neighbours(v) == ()
+
+
+def test_arrow_ids_are_unique_and_are_the_hash():
+    for q in all_quivers():
+        ids = [a.id for a in q.arrows]
+        assert len(set(ids)) == len(ids)
+        for a in q.arrows:
+            assert hash(a) == a.id == a.index << 1 | a.reverse
+        for name in ("a99", ""):
+            with pytest.raises(DomainError):
+                q.arrow(name)
+
+
+def test_adjacency_returns_a_fresh_dict():
+    for q in all_quivers():
+        first = q.adjacency()
+        expected = dict(first)
+        first[q.vertices[0]] = ()
+        first[-1] = (0,)
+        assert q.adjacency() == expected
+
+
+def test_step_arrow_is_the_arrow_u_to_v():
+    for t in ALL_EXTENDED:
+        if t.family == "A":
+            continue
+        rq = RepetitionQuiver(t)
+        q = rq.quiver
+        for u in q.vertices:
+            col = rq.column_of(u, 2)
+            for v in q.vertices:
+                between = [a for a in q.arrows if (a.tail, a.head) == (u, v)]
+                if v not in q.neighbours(u):
+                    assert between == []
+                    with pytest.raises(DomainError):
+                        rq.step_arrow(col, u, v)
+                    continue
+                # steps out of even columns stay inside a copy: ordinary arrows
+                assert between == [rq.step_arrow(col, u, v)]
+                assert between[0].reverse == (col % 2 == 1)
+                with pytest.raises(InternalInconsistency):
+                    rq.step_arrow(col + 1, u, v)

@@ -13,7 +13,7 @@ from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
                              Path, PathElement, check_certificate, format_element,
                              graded_dims_pi, hom_matrix, ideal_member,
                              model_for, multiply, parse_element, parse_path,
-                             relation_set, relations_for, trivial_path,
+                             relation_set, trivial_path,
                              verify_zero_product)
 from preproj.weights import FieldElem, Weight, epsilon0
 
@@ -135,6 +135,39 @@ def test_mixed_endpoints_rejected():
         PathElement({parse_path(q, "a0"): 1, parse_path(q, "a1"): 1})
 
 
+def test_sum_keeps_the_terms_of_repeated_addition_in_order():
+    q = build_extended(ExtDynkinType("D", 4))
+    p1, p2, p3 = (parse_path(q, f"~a{k}.a{k}") for k in (0, 1, 3))  # loops at 2
+    x = PathElement({p1: 1, p2: 1})
+    y = PathElement({p1: -1, p3: 1})
+    z = PathElement({p1: 2})
+    # p1 cancels in x + y, so its later term comes last
+    total = PathElement.sum([x, y, z])
+    assert list(total.terms.items()) == [(p2, 1), (p3, 1), (p1, 2)]
+    assert list((x + y + z).terms.items()) == list(total.terms.items())
+    assert x - x == PathElement.zero() == PathElement.sum([])
+    assert (x + y) - y == x
+
+    def pairwise(parts):
+        out = {}
+        for part in parts:
+            for p, c in part.terms.items():
+                out[p] = out.get(p, 0) + c
+            out = {p: c for p, c in out.items() if c}
+        return out
+
+    rng = random.Random(11)
+    pool = [parse_path(q, f"~a{k}.a{k}") for k in (0, 1, 3, 4)] + [trivial_path(2)]
+    for _ in range(200):
+        parts = [PathElement({p: rng.choice([1, -1, 2, -2])
+                              for p in rng.sample(pool, rng.randint(1, 3))})
+                 for _ in range(rng.randint(0, 5))]
+        assert list(PathElement.sum(iter(parts)).terms.items()) == list(pairwise(parts).items())
+        if pairwise(parts):
+            with pytest.raises(DomainError):
+                PathElement.sum(parts + [PathElement.of_path(parse_path(q, "a0"))])
+
+
 # -- graded dimensions -------------------------------------------------------
 
 def test_graded_dims_against_brute_force():
@@ -216,7 +249,7 @@ def test_hom_symmetry_and_nakayama_invariance():
 
 def test_relation_is_its_own_certificate():
     t = ExtDynkinType("D", 4)
-    rels = relations_for(t, Weight.of([0] * 5))
+    rels = relation_set(build_extended(t), dict(enumerate(Weight.of([0] * 5).entries)))
     res = ideal_member(t, Weight.of([0] * 5), rels[2])
     assert isinstance(res, MembershipCertificate)
     assert list(res.terms) == [(1, trivial_path(2), 2, trivial_path(2))]
@@ -275,7 +308,7 @@ def test_membership_with_nonzero_weight():
     # rho-type element deformed by eps0: member exactly for matching weight
     t = ExtDynkinType("D", 4)
     we = epsilon0(t)
-    rels = relations_for(t, we)
+    rels = relation_set(build_extended(t), dict(enumerate(we.entries)))
     res = ideal_member(t, we, rels[0])
     assert isinstance(res, MembershipCertificate) and check_certificate(t, res)
     # the same element is NOT in the ideal at weight 0
@@ -313,7 +346,7 @@ def test_filtered_dims_match_graded_dims():
 def test_verify_zero_product_identity_sanity():
     t = ExtDynkinType("D", 4)
     w0 = Weight.of([0] * 5)
-    rels = relations_for(t, w0)
+    rels = relation_set(build_extended(t), dict(enumerate(w0.entries)))
     rep = verify_zero_product(t, w0, [[rels[2]]], [[PathElement.unit(2)]])
     assert rep.ok and len(rep.certificates) == 1
 
