@@ -105,7 +105,7 @@ def cmd_knit(args) -> tuple[int, str]:
             "psi": [format_element(x) for x in extracted.psi] if extracted.resolved else None,
             "phi": [format_element(x) for x in extracted.phi] if extracted.resolved else None,
             "certificates": [_cert_record(c) for c in extracted.report.certificates]
-                            if extracted.resolved and extracted.report else None,
+                            if extracted.resolved else None,
         }
     if args.format == "json":
         return 0, to_json(data)
@@ -119,7 +119,7 @@ def cmd_knit(args) -> tuple[int, str]:
             lines.append("psi: " + " | ".join(format_element(x) for x in extracted.psi))
             lines.append("phi: " + " | ".join(format_element(x) for x in extracted.phi))
         else:
-            lines.append("maps unresolved within the search budget")
+            lines.append("maps unresolved: no certified psi/phi pair")
     return 0, "\n".join(lines)
 
 

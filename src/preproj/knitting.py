@@ -10,12 +10,7 @@ from .dynkin import Arrow, ExtDynkinType, build_extended
 from .errors import DomainError, InternalInconsistency
 from .pathalg import (Path, PathElement, ZeroProductReport, model_for,
                       multiply, verify_zero_product)
-from .weights import Weight
-
-# walks kept per search, in depth-first order (see _free_walks)
-WALK_LIMIT = 64
-# sign/candidate assignments tried before extract_maps gives up
-SIGN_BUDGET = 4096
+from .weights import ONE, ZERO, FieldElem, Weight
 
 
 class RepetitionQuiver:
@@ -200,9 +195,9 @@ class ExtractedMaps:
     """Maps for the knitted sequence; entries are Hom-space elements.
 
     psi[k]: V_{j_k} -> V_target and phi[k]: V_kernel -> V_{j_k}, indexed by
-    the circled 1-cells of the pattern.  ``resolved`` says a sign/candidate
-    assignment with psi.phi = 0 was certified; otherwise the candidate
-    lists are still returned.
+    the circled 1-cells of the pattern.  ``resolved`` says the phi with
+    psi.phi = 0 is unique up to scale, has every entry nonzero, and the
+    product was certified; otherwise psi and phi are None.
     """
 
     result: KnitResult
@@ -210,35 +205,35 @@ class ExtractedMaps:
     psi: tuple[PathElement, ...] | None
     phi: tuple[PathElement, ...] | None
     resolved: bool
-    psi_candidates: tuple[tuple[PathElement, ...], ...]
-    phi_candidates: tuple[tuple[PathElement, ...], ...]
     report: ZeroProductReport | None = None
 
 
-def _pattern_walks(p: Pattern, rq: RepetitionQuiver, start: tuple[int, int],
-                   end: tuple[int, int]) -> list[Path]:
-    """Rightward pattern walks from start to end through nonzero uncircled cells."""
-    out: list[Path] = []
+def _pattern_walk(p: Pattern, rq: RepetitionQuiver, start: tuple[int, int],
+                  end: tuple[int, int]) -> Path:
+    """The first rightward pattern walk, depth first, from start to end
+    through nonzero uncircled cells."""
 
-    def go(cell: tuple[int, int], path: list[Arrow]) -> None:
-        if len(out) >= WALK_LIMIT:
-            return
+    def go(cell: tuple[int, int], path: list[Arrow]) -> Path | None:
         col, v = cell
         if cell == end:
-            out.append(Path(start[1], tuple(path)))
-            return
+            return Path(start[1], tuple(path))
         if col <= end[0]:
-            return
+            return None
         for u in rq.quiver.neighbours(v):
             nxt = (col - 1, u)
             if nxt != end and (p.values.get(nxt, 0) == 0 or u in p.s_vertices):
                 continue
             if nxt[0] < end[0] or (nxt[0] == end[0] and u != end[1]):
                 continue
-            go(nxt, path + [rq.step_arrow(col, v, u)])
+            walk = go(nxt, path + [rq.step_arrow(col, v, u)])
+            if walk is not None:
+                return walk
+        return None
 
-    go(start, [])
-    return out
+    walk = go(start, [])
+    if walk is None:
+        raise DomainError(f"no pattern path from {start} to the box")
+    return walk
 
 
 def _reverse_path(p: Path) -> Path:
@@ -246,13 +241,21 @@ def _reverse_path(p: Path) -> Path:
     return Path(p.target, arrows)
 
 
-def extract_maps(r: KnitResult) -> ExtractedMaps:
-    """Candidate maps read off the pattern, with a bounded search for a
-    sign/candidate assignment certified by a zero product.
+def _leading(x: PathElement) -> FieldElem:
+    """Coefficient of the first term in printed (length, name) order."""
+    return x.terms[min(x.terms, key=lambda p: (len(p), p.name()))]
 
-    psi components reverse pattern walks from circled 1-cells to the box
-    through nonzero uncircled cells; phi components are degree-correct
-    walks from the kernel cell back to each circled 1-cell.
+
+def extract_maps(r: KnitResult) -> ExtractedMaps:
+    """Maps read off the pattern, with phi from one linear solve.
+
+    psi_k reverses the first pattern walk from the k-th circled 1-cell to
+    the box.  phi_k ranges over the weight-0 basis of e_{j_k} Pi e_kernel in
+    degree kcol - col_k, and psi.phi = 0 is a linear system in its
+    coefficients.  The maps are resolved when the solutions form a line
+    whose phi entries are all nonzero; the solution is scaled so that the
+    leading term of phi_0 is 1, each (psi_k, phi_k) with a negative leading
+    phi coefficient is negated, and the product is certified.
     """
     rq = RepetitionQuiver(r.type)
     p = r.pattern
@@ -260,88 +263,67 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
                              if val == 1 and cell[1] in r.s_vertices),
                             key=lambda cell: (cell[1], cell[0])))
     if sum(r.multiplicities.values()) != len(summands):
-        return ExtractedMaps(r, summands, None, None, False, (), ())
-
-    psi_cands: list[tuple[PathElement, ...]] = []
-    phi_cands: list[tuple[PathElement, ...]] = []
-    kcol, kvert = p.kernel_cell
-    for cell in summands:
-        walks = _pattern_walks(p, rq, cell, p.boxed)
-        if not walks:
-            raise DomainError(f"no pattern path from {cell} to the box")
-        psi_cands.append(tuple(PathElement.of_path(_reverse_path(w)) for w in walks))
-        length = kcol - cell[0]
-        phis = _free_walks(rq, cell[1], kvert, length)
-        if not phis:
-            raise DomainError(f"no degree-{length} walk from {cell[1]} to {kvert}")
-        phi_cands.append(tuple(PathElement.of_path(w) for w in phis))
+        return ExtractedMaps(r, summands, None, None, False)
 
     w0 = Weight.of([0] * (r.type.n + 1))
-    budget = SIGN_BUDGET
-
-    def assignments(cands: list[tuple[PathElement, ...]]):
-        def rec(k: int, chosen: list[PathElement]):
-            if k == len(cands):
-                yield list(chosen)
-                return
-            for elt in cands[k]:
-                for sign in ((1, -1) if k > 0 else (1,)):
-                    chosen.append(elt.scale(sign))
-                    yield from rec(k + 1, chosen)
-                    chosen.pop()
-        yield from rec(0, [])
-
     model = model_for(r.type, w0)
-    for psi_choice in assignments(psi_cands):
-        for phi_choice in assignments(phi_cands):
-            budget -= 1
-            if budget < 0:
-                return ExtractedMaps(r, summands, None, None, False,
-                                     tuple(psi_cands), tuple(phi_cands))
-            total = PathElement.sum(multiply(x, y) for x, y in zip(psi_choice, phi_choice))
-            if model.is_zero(total):
-                psi_choice, phi_choice = _normalize_signs(psi_choice, phi_choice)
-                report = verify_zero_product(r.type, w0, [psi_choice],
-                                             [[x] for x in phi_choice])
-                return ExtractedMaps(r, summands, tuple(psi_choice),
-                                     tuple(phi_choice), True,
-                                     tuple(psi_cands), tuple(phi_cands), report)
-    return ExtractedMaps(r, summands, None, None, False,
-                         tuple(psi_cands), tuple(phi_cands))
+    kcol, kvert = p.kernel_cell
+    psi: list[PathElement] = []
+    unknowns: list[tuple[int, Path]] = []
+    for k, cell in enumerate(summands):
+        psi.append(PathElement.of_path(_reverse_path(_pattern_walk(p, rq, cell, p.boxed))))
+        length = kcol - cell[0]
+        model.extend_to(length)
+        for bid in model.layers[length]:
+            b = model.basis[bid]
+            if b.source == cell[1] and b.target == kvert:
+                unknowns.append((k, b.rep))
+    columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
+    solutions = _nullspace(columns)
+    if len(solutions) != 1:
+        return ExtractedMaps(r, summands, None, None, False)
+    terms: list[dict[Path, FieldElem]] = [{} for _ in summands]
+    for (k, rep), c in zip(unknowns, solutions[0]):
+        if c:
+            terms[k][rep] = c
+    if not all(terms):
+        return ExtractedMaps(r, summands, None, None, False)
+    phi = [PathElement(t) for t in terms]
+    scale = ONE / _leading(phi[0])
+    for k in range(len(phi)):
+        sign = -1 if _leading(phi[k]) * scale < 0 else 1
+        psi[k], phi[k] = psi[k].scale(sign), phi[k].scale(scale * sign)
+    if not model.is_zero(PathElement.sum(multiply(x, y) for x, y in zip(psi, phi))):
+        raise InternalInconsistency("a nullspace vector of psi.phi does not vanish")
+    report = verify_zero_product(r.type, w0, [psi], [[x] for x in phi])
+    return ExtractedMaps(r, summands, tuple(psi), tuple(phi), True, report)
 
 
-def _normalize_signs(psi: list[PathElement], phi: list[PathElement]):
-    """Flip (psi_k, phi_k) pairs so each phi entry has a positive sign;
-    the product is unchanged."""
-    out_psi, out_phi = [], []
-    for pk, fk in zip(psi, phi):
-        coef = next(iter(fk.terms.values()))
-        if coef < 0:
-            pk, fk = pk.scale(-1), fk.scale(-1)
-        out_psi.append(pk)
-        out_phi.append(fk)
-    return out_psi, out_phi
-
-
-def _free_walks(rq: RepetitionQuiver, start: int, end: int, length: int) -> list[Path]:
-    """Walks of the given length from start to end in the double, sorted by name.
-
-    The search is depth first over ``arrows_from`` and keeps only the first
-    ``WALK_LIMIT`` walks it meets, so a longer walk list is cut before the sort;
-    ~E7 6 -> 1 and ~E8 7 -> 6 in the golden corpus reach the limit.
-    """
-    out: list[Path] = []
-
-    def go(v: int, remaining: int, arrows: list[Arrow]) -> None:
-        if len(out) >= WALK_LIMIT:
-            return
-        if remaining == 0:
-            if v == end:
-                out.append(Path(start, tuple(arrows)))
-            return
-        for a in rq.quiver.arrows_from(v):
-            go(a.head, remaining - 1, arrows + [a])
-
-    go(start, length, [])
-    out.sort(key=lambda p: p.name())
+def _nullspace(columns: list[dict[int, FieldElem]]) -> list[list[FieldElem]]:
+    """Reduced basis of {v : sum_j v_j columns[j] = 0}, one vector per free
+    column of the reduced echelon form, with 1 there and 0 at the other
+    free columns; column j is given sparsely as {row: entry}."""
+    rows = sorted({i for col in columns for i in col})
+    mat = [[col.get(i, ZERO) for col in columns] for i in rows]
+    pivots: list[int] = []
+    for j in range(len(columns)):
+        r = next((i for i in range(len(pivots), len(mat)) if mat[i][j]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[r] = mat[r], mat[top]
+        inv = ONE / mat[top][j]
+        mat[top] = [x * inv for x in mat[top]]
+        for i in range(len(mat)):
+            if i != top and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[top])]
+        pivots.append(j)
+    out = []
+    for free in (j for j in range(len(columns)) if j not in pivots):
+        v = [ZERO] * len(columns)
+        v[free] = ONE
+        for i, j in enumerate(pivots):
+            v[j] = -mat[i][free]
+        out.append(v)
     return out

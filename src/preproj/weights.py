@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynkin import ExtDynkinType, cartan, delta_vector
-from .errors import DomainError, SearchBudgetExceeded
+from .errors import DomainError, InternalInconsistency, SearchBudgetExceeded
 
 
 def _canon(x: int | Fraction) -> int | Fraction:
@@ -284,8 +284,7 @@ def classify_weight(t: ExtDynkinType, w: Weight) -> WeightClass:
 QUASI_DOM_CAP = 10 ** 6
 # firings before numbers_game gives up
 NUMBERS_GAME_STEPS = 200_000
-# configurations resolve_to_smooth tries, and the largest entry each may have
-SMOOTH_CANDIDATES = 20_000
+# the largest entry of a configuration resolve_to_smooth tries
 CANDIDATE_MAX_ENTRY = 3
 
 
@@ -360,23 +359,19 @@ def _compositions(total: int, parts: int):
 def resolve_to_smooth(t: ExtDynkinType) -> tuple[list[int], Weight]:
     """A reflection sequence rho with rho(eps_0)_i > 0 for all i >= 1.
 
-    Searches small all-positive integer configurations mu on the level-1
-    hyperplane and plays the numbers game from mu; when the game ends at
-    eps_0 the reversed firing sequence is the wanted rho.
+    Plays the numbers game from small all-positive integer configurations
+    mu on the level-1 hyperplane, in the order of ``_candidate_positives``;
+    when the game ends at eps_0 the reversed firing sequence is the wanted
+    rho.  At positive level every game ends, and the all-2 configuration
+    (1 - 2 sum_{i>=1} delta_i, 2, ..., 2) is a candidate whose game ends at
+    eps_0, so the loop always returns.
     """
     eps = epsilon0(t)
-    tried = 0
     for mu in _candidate_positives(t):
-        tried += 1
-        if tried > SMOOTH_CANDIDATES:
-            break
-        try:
-            terminal, fired = numbers_game(t, mu)
-        except SearchBudgetExceeded:
-            continue
+        terminal, fired = numbers_game(t, mu)
         if terminal == eps:
             seq = list(reversed(fired))
             if apply_reflections(t, eps, seq) != mu:
-                raise SearchBudgetExceeded("replay of the found sequence failed")
+                raise InternalInconsistency("replay of the numbers game missed its start")
             return seq, mu
-    raise SearchBudgetExceeded(f"no smooth deformation found for {t} within the budget")
+    raise InternalInconsistency(f"no candidate for {t}, the all-2 one included, reached eps_0")

@@ -5,7 +5,10 @@ import random
 from oracles import fuzz_argv, fuzz_text
 from preproj import cli
 from preproj.cli import dispatch, main, to_json
+from preproj.dynkin import build_extended, parse_type
 from preproj.errors import InternalInconsistency
+from preproj.pathalg import MembershipCertificate, check_certificate, parse_element, parse_path
+from preproj.weights import parse_field_elem, parse_weight
 
 
 def run(*argv):
@@ -129,6 +132,33 @@ def test_verify_suite_knitting_json():
     assert data["failed"] == 0
     ids = [r["id"] for r in data["results"]]
     assert ids == sorted(ids)
+
+
+def _path_of(q, text):
+    body, ends = text.rsplit(":", 1)
+    return parse_path(q, body, source=int(ends.split("->")[0]))
+
+
+def test_knit_e7_paper_case_resolves():
+    argv = ["knit", "--type", "~E7", "--S", "0,6", "--target", "5", "--maps"]
+    code, out = run(*argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[-2:]] == ["psi", "phi"]
+    code, out = run(*argv, "--format", "json")
+    assert code == 0
+    maps = json.loads(out)["maps"]
+    assert maps["resolved"] is True
+    assert len(maps["psi"]) == len(maps["phi"]) == 4
+    t = parse_type("~E7")
+    q = build_extended(t)
+    assert maps["certificates"]
+    for rec in maps["certificates"]:
+        terms = tuple((parse_field_elem(x["coef"]), _path_of(q, x["left"]), x["vertex"],
+                       _path_of(q, x["right"])) for x in rec["terms"])
+        cert = MembershipCertificate(str(t), parse_weight(rec["weight"]),
+                                     parse_element(q, rec["element"]), terms)
+        assert check_certificate(t, cert)
 
 
 def test_decompose_weights_fuzz(capsys):

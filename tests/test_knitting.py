@@ -6,8 +6,10 @@ import pytest
 from preproj.dynkin import ExtDynkinType, build_extended
 from preproj.errors import DomainError
 from preproj.fixtures import golden_knit_fixtures, worked_example_fixtures
-from preproj.knitting import extract_maps, knit, render_pattern
-from preproj.pathalg import check_certificate, format_element
+from preproj.knitting import _nullspace, extract_maps, knit, render_pattern
+from preproj.pathalg import (MembershipCertificate, check_certificate, format_element,
+                             ideal_member, model_for, parse_element)
+from preproj.weights import ONE, ZERO, FieldElem, Weight
 
 
 def grid(result):
@@ -148,15 +150,23 @@ def test_extract_maps_e6_spec_example():
 
 # sha256 over the worked and golden sequences of every resolved sequence's
 # psi and phi entries and certificate terms (an unresolved one adds its id
-# only); taken before FieldElem kept integral parts as int
-MAP_CORPUS_SHA256 = "37f81b66fdf87ad3ffa36a9127db9d89a13f98f64dd2f206cac23afc4a30d11a"
+# only).  Re-pinned when phi became one linear solve over the weight-0 model
+# instead of a bounded sign/walk search; three records changed: E7-33, which
+# the search left unresolved, now resolves, and E8-36 and E8-39 write one phi
+# entry in the basis of the model (see test_changed_phi_is_a_new_representative)
+MAP_CORPUS_SHA256 = "70a4af44627475cb3eca9ad4f7c5b95aa6cec995b1f5649df9b260c1870b40b3"
 
 
-def test_map_corpus_is_frozen():
+@pytest.fixture(scope="module")
+def corpus_maps():
+    return [(f, extract_maps(knit(f.type, f.s_vertices, f.target)))
+            for f in worked_example_fixtures() + golden_knit_fixtures()]
+
+
+def test_map_corpus_is_frozen(corpus_maps):
     h = hashlib.sha256()
     unresolved = []
-    for f in worked_example_fixtures() + golden_knit_fixtures():
-        m = extract_maps(knit(f.type, f.s_vertices, f.target))
+    for f, m in corpus_maps:
         if m.resolved:
             record = ([format_element(x) for x in m.psi], [format_element(x) for x in m.phi],
                       [[f"{c} * {u} rho_{v} {w}" for c, u, v, w in cert.terms]
@@ -165,5 +175,79 @@ def test_map_corpus_is_frozen():
             record = "unresolved"
             unresolved.append(f.fixture_id)
         h.update(f"{f.fixture_id} {record}\n".encode())
-    assert len(unresolved) == 1
+    assert unresolved == []
     assert h.hexdigest() == MAP_CORPUS_SHA256
+
+
+def test_corpus_phi_entries_are_nonzero(corpus_maps):
+    # a zero phi entry would make psi.phi = 0 trivially
+    for f, m in corpus_maps:
+        model = model_for(f.type, Weight.of([0] * (f.type.n + 1)))
+        assert all(model.nf(x) != {} for x in m.phi), f.fixture_id
+
+
+# the phi entries printed for E8-36 and E8-39 before the linear solve, and
+# the index of the entry the solve writes differently
+OLD_PHI = {
+    "E8-36": (["1 * ~a3.a4.~a8.a8.~a4 : 3->4", "1 * ~a3 : 3->4", "1 * ~a6.a5.~a4 : 7->4"], 0),
+    "E8-39": (["1 * ~a3.a4.~a8.a8.~a4 : 3->4", "1 * ~a3 : 3->4"], 0),
+}
+
+
+def test_changed_phi_is_a_new_representative(corpus_maps):
+    seen = set()
+    for f, m in corpus_maps:
+        if f.fixture_id not in OLD_PHI:
+            continue
+        seen.add(f.fixture_id)
+        old, changed = OLD_PHI[f.fixture_id]
+        q = build_extended(f.type)
+        w0 = Weight.of([0] * (f.type.n + 1))
+        for k, (text, new) in enumerate(zip(old, m.phi)):
+            diff = parse_element(q, text) - new
+            assert bool(diff) == (k == changed)
+            cert = ideal_member(f.type, w0, diff)
+            assert isinstance(cert, MembershipCertificate)
+            assert check_certificate(f.type, cert)
+    assert seen == set(OLD_PHI)
+
+
+def _vector_is_null(columns, v):
+    rows = {i for col in columns for i in col}
+    return all(sum((col.get(i, ZERO) * x for col, x in zip(columns, v)), ZERO) == ZERO
+               for i in rows)
+
+
+def test_nullspace_full_rank_is_empty():
+    columns = [{0: ONE, 1: FieldElem.of(2)}, {0: FieldElem.of(3), 1: FieldElem.of(4)}]
+    assert _nullspace(columns) == []
+
+
+def test_nullspace_corank_two_is_reduced():
+    # rank 1 on three columns, pivot 2; the free columns are 1 and 2
+    columns = [{0: FieldElem.of(2), 1: FieldElem.of(4)},
+               {0: FieldElem.of(-6), 1: FieldElem.of(-12)}, {0: ONE, 1: FieldElem.of(2)}]
+    null = _nullspace(columns)
+    assert null == [[FieldElem.of(3), ONE, ZERO], [FieldElem.of("-1/2"), ZERO, ONE]]
+    assert all(_vector_is_null(columns, v) for v in null)
+
+
+def test_nullspace_with_a_row_swap():
+    # column 0 is zero in row 0; column 2 = 2 * column 0 + 2 * column 1
+    columns = [{1: FieldElem.of(3)}, {0: ONE}, {0: FieldElem.of(2), 1: FieldElem.of(6)}]
+    assert _nullspace(columns) == [[FieldElem.of(-2), FieldElem.of(-2), ONE]]
+
+
+def test_nullspace_of_zero_and_empty_columns():
+    assert _nullspace([{}, {}]) == [[ONE, ZERO], [ZERO, ONE]]
+    assert _nullspace([]) == []
+
+
+def test_nullspace_gaussian_entries():
+    i = FieldElem.of("i")
+    # column 1 = i * column 0, and column 2 is independent of both
+    columns = [{0: FieldElem.of("2i"), 1: FieldElem.of(-2)},
+               {0: FieldElem.of(-2), 1: FieldElem.of("-2i")}, {1: ONE}]
+    null = _nullspace(columns)
+    assert null == [[-i, ONE, ZERO]]
+    assert _vector_is_null(columns, null[0])

@@ -7,7 +7,8 @@ import pytest
 from oracles import fuzz_text
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
-from preproj.weights import (FieldElem, ONE, Weight, ZERO, apply_reflections,
+from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
+                             apply_reflections,
                              classify_weight, compare, dot_delta,
                              dual_reflection, epsilon0, format_field_elem,
                              format_weight, is_quasi_dominant, numbers_game,
@@ -159,6 +160,18 @@ def test_resolve_to_smooth_all_types():
         joined = ",".join(map(str, seq)).encode()
         assert (len(seq), hashlib.sha256(joined).hexdigest()[:16], format_weight(mu)) == (
             length, word_hash, mu_text), t
+
+
+def test_all_two_configuration_ends_at_eps0():
+    # resolve_to_smooth's loop ends: the all-2 configuration is one of its
+    # candidates, and its numbers game reaches eps_0 on every type
+    for t in ALL_EXTENDED:
+        d = delta_vector(t)
+        all_two = Weight.of([1 - 2 * sum(d[1:])] + [2] * t.n)
+        assert all_two in _candidate_positives(t), t
+        terminal, fired = numbers_game(t, all_two)
+        assert terminal == epsilon0(t), t
+        assert apply_reflections(t, all_two, fired) == terminal
 
 
 def test_schedler_configuration_values():
