@@ -8,6 +8,9 @@ Gaussian elimination yields multiplication tables.  Because the associated
 graded algebra of Pi^lambda is the undeformed Pi, a query element lies in
 the relation ideal exactly when its normal form vanishes, and an explicit
 membership certificate can be pulled out of the stored elimination rows.
+The same fact makes the symbol elimination independent of lambda: each
+quiver's weight-0 model eliminates once, and a deformed model reuses its
+basis, rows and provenance and solves only for the tails below each layer.
 """
 from __future__ import annotations
 
@@ -231,27 +234,38 @@ class _Basis:
 
 class QuotientModel:
     """Filtered basis and multiplication tables for Pi^lambda of a double
-    quiver, built one path-length layer at a time."""
+    quiver, built one path-length layer at a time.
+
+    Every symbol entry of a relation row comes from the top-degree part of
+    the tables, which does not depend on lambda (gr Pi^lambda = Pi).  So the
+    basis, the raw relation rows and their echelon form belong to the
+    weight-0 model of the quiver, and a model at a nonzero weight shares
+    them and solves only for the tails below each new layer."""
 
     def __init__(self, quiver: LabelledDoubleQuiver, weight: dict[int, FieldElem]):
         self.quiver = quiver
         self.weight = {v: FieldElem.of(weight.get(v, 0)) for v in quiver.vertices}
         self.rels = relation_set(quiver, self.weight)
-        self.basis: list[_Basis] = []
-        self.layers: list[list[int]] = []
         # (basis id, arrow id) -> normal form of basis element times arrow
         self.mul: dict[tuple[int, int], dict[int, FieldElem]] = {}
-        # per degree: reduced relation rows with provenance over the raw
-        # (c, v) rows, used both to build layers and to extract certificates
-        self.rows: list[list[tuple[int, int]]] = [[]]
-        self.echelon: list[dict] = [{}]
+        # the nonzero parts of mul below the top degree (none at weight 0)
+        self.low: dict[tuple[int, int], dict[int, FieldElem]] = {}
         self._nf_cache: dict[Path, dict[int, FieldElem]] = {}
-        layer0 = []
-        for v in quiver.vertices:
-            b = _Basis(len(self.basis), 0, v, v, trivial_path(v))
-            self.basis.append(b)
-            layer0.append(b.idx)
-        self.layers.append(layer0)
+        # the weight-0 model of the quiver, or None when this is that model
+        self.graded = _graded_model(quiver) if any(self.weight.values()) else None
+        if self.graded is not None:
+            self.basis: list[_Basis] = self.graded.basis
+            # per degree: the raw (c, v) relation rows, and their reduced rows
+            # with provenance over them, used to build layers and certificates
+            self.rows: list[list[tuple[int, int]]] = self.graded.rows
+            self.echelon: list[dict] = self.graded.echelon
+            self.layers: list[list[int]] = [self.graded.layers[0]]
+        else:
+            self.basis = [_Basis(i, 0, v, v, trivial_path(v))
+                          for i, v in enumerate(quiver.vertices)]
+            self.rows = [[]]
+            self.echelon = [{}]
+            self.layers = [[b.idx for b in self.basis]]
 
     # -- layer construction -------------------------------------------------
 
@@ -262,90 +276,32 @@ class QuotientModel:
         while self.max_degree() < degree:
             self._build_layer(self.max_degree() + 1)
 
-    def _symbols(self, d: int) -> list[tuple[int, Arrow]]:
-        syms = []
-        for bid in self.layers[d - 1]:
-            b = self.basis[bid]
-            for a in self.quiver.arrows_from(b.target):
-                syms.append((bid, a))
-        return syms
-
     def _build_layer(self, d: int) -> None:
-        syms = self._symbols(d)
-        sym_index = {(bid, a.id): k for k, (bid, a) in enumerate(syms)}
+        if self.graded is None:
+            self._build_graded_layer(d)
+        else:
+            self._build_deformed_layer(d)
 
+    def _build_graded_layer(self, d: int) -> None:
+        """Symbols, relation rows and their elimination; at weight 0 every
+        product is homogeneous, so the rows have no tails."""
+        syms = [(bid, a) for bid in self.layers[d - 1]
+                for a in self.quiver.arrows_from(self.basis[bid].target)]
+        sym_index = {(bid, a.id): k for k, (bid, a) in enumerate(syms)}
         raw_rows: list[tuple[int, int]] = []
-        vecs: list[tuple[dict[int, FieldElem], dict[int, FieldElem]]] = []
+        sym_rows: list[dict[int, FieldElem]] = []
         if d >= 2:
             for cid in self.layers[d - 2]:
-                c = self.basis[cid]
-                v = c.target
+                v = self.basis[cid].target
                 sym: dict[int, FieldElem] = {}
-                tail: dict[int, FieldElem] = {}
-
-                def accumulate(first: Arrow, second: Arrow, sign: FieldElem) -> None:
-                    prod = self.mul[(cid, first.id)]
-                    for bid, coef in prod.items():
-                        coef = coef * sign
-                        if self.basis[bid].degree == d - 1:
-                            k = sym_index[(bid, second.id)]
-                            sym[k] = sym.get(k, ZERO) + coef
-                        else:
-                            for b2, c2 in self.mul[(bid, second.id)].items():
-                                tail[b2] = tail.get(b2, ZERO) + coef * c2
-
                 for path, sign in self.rels[v].terms.items():
-                    if path.arrows:
-                        accumulate(*path.arrows, sign)
-                    else:
-                        tail[cid] = tail.get(cid, ZERO) + sign
+                    first, second = path.arrows
+                    for bid, coef in self.mul[(cid, first.id)].items():
+                        k = sym_index[(bid, second.id)]
+                        sym[k] = sym.get(k, ZERO) + coef * sign
                 raw_rows.append((cid, v))
-                vecs.append(({k: x for k, x in sym.items() if x},
-                             {k: x for k, x in tail.items() if x}))
-
-        # echelonize rows on the symbol columns, tracking provenance
-        ech: list[dict] = []
-        pivots: dict[int, int] = {}
-        for ridx, (sym, tail) in enumerate(vecs):
-            sym = dict(sym)
-            tail = dict(tail)
-            prov = {ridx: ONE}
-            for pk in sorted(set(sym) & set(pivots), reverse=True):
-                coef = sym.get(pk)
-                if not coef:
-                    continue
-                row = ech[pivots[pk]]
-                _axpy(sym, row["sym"], -coef)
-                _axpy(tail, row["tail"], -coef)
-                _axpy(prov, row["prov"], -coef)
-            sym = {k: x for k, x in sym.items() if x}
-            tail = {k: x for k, x in tail.items() if x}
-            if not sym:
-                if tail:
-                    raise InternalInconsistency(
-                        "relation row degenerated below the associated graded algebra")
-                continue
-            pk = max(sym)
-            inv = ONE / sym[pk]
-            sym = {k: x * inv for k, x in sym.items()}
-            tail = {k: x * inv for k, x in tail.items()}
-            prov = {k: x * inv for k, x in prov.items()}
-            pivots[pk] = len(ech)
-            ech.append({"pivot": pk, "sym": sym, "tail": tail, "prov": prov})
-
-        # back-substitute to reduced echelon form
-        for row in ech:
-            for pk in sorted((set(row["sym"]) - {row["pivot"]}) & set(pivots), reverse=True):
-                coef = row["sym"].get(pk)
-                if not coef:
-                    continue
-                other = ech[pivots[pk]]
-                _axpy(row["sym"], other["sym"], -coef)
-                _axpy(row["tail"], other["tail"], -coef)
-                _axpy(row["prov"], other["prov"], -coef)
-            row["sym"] = {k: x for k, x in row["sym"].items() if x}
-            row["tail"] = {k: x for k, x in row["tail"].items() if x}
-            row["prov"] = {k: x for k, x in row["prov"].items() if x}
+                sym_rows.append({k: x for k, x in sym.items() if x})
+        ech, pivots, nulls = _eliminate(sym_rows)
 
         # non-pivot symbols become the new layer's basis
         new_layer: list[int] = []
@@ -365,17 +321,48 @@ class QuotientModel:
                 self.mul[(bid, a.id)] = {sym_to_basis[k]: ONE}
                 continue
             row = ech[pivots[k]]
-            vec: dict[int, FieldElem] = {}
-            for k2, x in row["sym"].items():
-                if k2 != k:
-                    vec[sym_to_basis[k2]] = -x
-            for b2, x in row["tail"].items():
-                vec[b2] = vec.get(b2, ZERO) - x
-            self.mul[(bid, a.id)] = {b2: x for b2, x in vec.items() if x}
+            self.mul[(bid, a.id)] = {sym_to_basis[k2]: -x
+                                     for k2, x in row["sym"].items() if k2 != k}
 
         self.rows.append(raw_rows)
-        self.echelon.append({"rows": ech, "pivots": pivots,
+        self.echelon.append({"rows": ech, "pivots": pivots, "nulls": nulls,
                              "sym_index": sym_index, "syms": syms})
+
+    def _build_deformed_layer(self, d: int) -> None:
+        """The weight-0 layer plus this weight's tails: the raw tail of a
+        relation row is its -lambda_v e_v term and the products that fall
+        below degree d, and a reduced row's tail is the combination of raw
+        tails its provenance names."""
+        graded = self.graded
+        graded.extend_to(d)
+        info = self.echelon[d]
+        mul, low = self.mul, self.low
+        tails: list[dict[int, FieldElem]] = []
+        for cid, v in self.rows[d]:
+            tail: dict[int, FieldElem] = {}
+            for path, sign in self.rels[v].terms.items():
+                if not path.arrows:
+                    tail[cid] = tail.get(cid, ZERO) + sign
+                    continue
+                first, second = path.arrows
+                below = low.get((cid, first.id))
+                if below is None:
+                    continue
+                for bid, coef in below.items():
+                    coef = coef * sign
+                    for b2, c2 in mul[(bid, second.id)].items():
+                        tail[b2] = tail.get(b2, ZERO) + coef * c2
+            tails.append({k: x for k, x in tail.items() if x})
+        reduced = _reduced_tails(tails, info["rows"], info["nulls"])
+        self.layers.append(graded.layers[d])
+        for k, (bid, a) in enumerate(info["syms"]):
+            key = (bid, a.id)
+            ridx = info["pivots"].get(k)
+            if ridx is None or not reduced[ridx]:
+                mul[key] = graded.mul[key]
+                continue
+            below = low[key] = {b2: -x for b2, x in reduced[ridx].items()}
+            mul[key] = {**graded.mul[key], **below}
 
     # -- normal forms --------------------------------------------------------
 
@@ -516,6 +503,77 @@ def _axpy(dst: dict, src: dict, coef) -> None:
         dst[k] = dst.get(k, ZERO) + coef * v
 
 
+def _clear(sym: dict, prov: dict, rows: list[dict], pivots: dict[int, int],
+           own: int | None) -> None:
+    """Clear every pivot column of sym but its own, largest first.  The
+    other columns of a row lie below its pivot, so a column one elimination
+    brings in is still ahead in the same descending pass."""
+    todo = {k for k in sym if k in pivots and k != own}
+    while todo:
+        pk = max(todo)
+        todo.remove(pk)
+        coef = sym[pk]
+        if not coef:
+            continue
+        row = rows[pivots[pk]]
+        neg = -coef
+        for k, x in row["sym"].items():
+            if k not in sym and k in pivots:
+                todo.add(k)
+            sym[k] = sym.get(k, ZERO) + neg * x
+        _axpy(prov, row["prov"], neg)
+
+
+def _eliminate(sym_rows: list[dict[int, FieldElem]]
+               ) -> tuple[list[dict], dict[int, int], list[dict[int, FieldElem]]]:
+    """Reduced echelon form of the rows on their columns.
+
+    Returns the reduced rows ({"pivot", "sym", "prov"}, each row 1 at its
+    pivot, the largest column of its forward form, and prov its combination
+    of the input rows), the row index of each pivot column, and the
+    provenance of every input row that reduced to zero."""
+    rows: list[dict] = []
+    pivots: dict[int, int] = {}
+    nulls: list[dict[int, FieldElem]] = []
+    for ridx, sym in enumerate(sym_rows):
+        sym = dict(sym)
+        prov = {ridx: ONE}
+        _clear(sym, prov, rows, pivots, None)
+        sym = {k: x for k, x in sym.items() if x}
+        if not sym:
+            nulls.append({k: x for k, x in prov.items() if x})
+            continue
+        pk = max(sym)
+        inv = ONE / sym[pk]
+        pivots[pk] = len(rows)
+        rows.append({"pivot": pk, "sym": {k: x * inv for k, x in sym.items()},
+                     "prov": {k: x * inv for k, x in prov.items()}})
+    # back-substitute to reduced echelon form
+    for row in rows:
+        _clear(row["sym"], row["prov"], rows, pivots, row["pivot"])
+        row["sym"] = {k: x for k, x in row["sym"].items() if x}
+        row["prov"] = {k: x for k, x in row["prov"].items() if x}
+    return rows, pivots, nulls
+
+
+def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[dict],
+                   nulls: list[dict[int, FieldElem]]) -> list[dict[int, FieldElem]]:
+    """The tail of each reduced row, sum_r prov[r] * tails[r].  A row whose
+    symbols vanish must lose its tail too, or the deformation would not be
+    flat."""
+    def combine(prov: dict[int, FieldElem]) -> dict[int, FieldElem]:
+        out: dict[int, FieldElem] = {}
+        for r, c in prov.items():
+            _axpy(out, tails[r], c)
+        return {k: x for k, x in out.items() if x}
+
+    for prov in nulls:
+        if combine(prov):
+            raise InternalInconsistency(
+                "relation row degenerated below the associated graded algebra")
+    return [combine(row["prov"]) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # model cache and public operations
 
@@ -524,6 +582,13 @@ _MODELS: dict[tuple, QuotientModel] = {}
 
 def _weight_key(weight: dict[int, FieldElem]) -> tuple:
     return tuple(sorted((v, x.re, x.im) for v, x in weight.items() if x))
+
+
+def _graded_model(q: LabelledDoubleQuiver) -> QuotientModel:
+    """The weight-0 model whose elimination every deformation of q shares."""
+    if q.type is None:
+        return QuotientModel(q, {})
+    return model_for(q.type, Weight.of([0] * len(q.vertices)))
 
 
 def model_for(t: ExtDynkinType, w: Weight) -> QuotientModel:

@@ -74,10 +74,12 @@ class FieldElem:
 
     def __truediv__(self, other) -> "FieldElem":
         o = FieldElem.of(other)
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero field element")
         # Fraction(p, q), never p / q: int operands must not give a float
+        if not o.im:
+            if not o.re:
+                raise ZeroDivisionError("division by zero field element")
+            return self * FieldElem(_canon(Fraction(1, o.re)))
+        norm = o.re * o.re + o.im * o.im
         return self * FieldElem(_canon(Fraction(o.re, norm)), _canon(Fraction(-o.im, norm)))
 
     def __bool__(self) -> bool:

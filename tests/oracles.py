@@ -96,14 +96,40 @@ def brute_graded_dims(quiver, maxdeg):
 def brute_graded_member(quiver, element):
     """Membership of a homogeneous element in the weight-0 graded ideal,
     decided by comparing span ranks with and without the element."""
-    degree = element.degree
-    _, gens = graded_ideal_span(quiver, degree)
+    _, gens = graded_ideal_span(quiver, element.degree)
+    return span_contains(gens, element)
+
+
+def span_contains(gens, element):
+    """Whether element lies in the span of gens, by comparing span ranks
+    with and without it."""
     index, rows = {}, []
     for g in gens:
         rows.append({index.setdefault(p, len(index)): c for p, c in g.terms.items()})
     base = rank_of_rows(list(rows))
     extra = {index.setdefault(p, len(index)): c for p, c in element.terms.items()}
     return rank_of_rows(rows + [extra]) == base
+
+
+def brute_filtered_member(quiver, weight, x):
+    """Membership of x in the relation ideal of Pi^lambda, decided by span
+    ranks: since gr Pi^lambda = Pi, the ideal's elements of filtration
+    degree <= d are spanned by the u rho_v w with |u| + |w| + 2 <= d, and
+    only those from x's source to x's target can contribute."""
+    degree = x.degree
+    paths = paths_by_degree(quiver, max(degree - 2, 0))
+    rels = quiver_relations(quiver, weight)
+    gens = []
+    for a in range(degree - 1):
+        for b in range(degree - 1 - a):
+            for u in paths[a]:
+                if u.source != x.source:
+                    continue
+                left = multiply(PathElement.of_path(u), rels[u.target])
+                for w in paths[b]:
+                    if w.source == u.target and w.target == x.target:
+                        gens.append(multiply(left, PathElement.of_path(w)))
+    return span_contains(gens, x)
 
 
 def graph_automorphisms(adjacency: dict[int, tuple[int, ...]]) -> list[dict[int, int]]:

@@ -119,6 +119,18 @@ def test_verify_suite_maps_json_is_frozen():
     assert hashlib.sha256(out.encode()).hexdigest() == MAPS_JSON_SHA256
 
 
+# sha256 of the stdout of `verify --suite all --format json`: every suite's
+# records, so any changed result, certificate or layout changes it
+VERIFY_ALL_JSON_SHA256 = "fa3296425ebb90afd9e120c3d343552b197191b9fa9285df2f70b9ae32fa2467"
+
+
+def test_verify_suite_all_json_is_frozen(capsys):
+    code = main(["verify", "--suite", "all", "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
 def test_verify_suite_intersection():
     code, out = run("verify", "--suite", "intersection")
     assert code == 0

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (brute_graded_dims, brute_graded_member, oracle_relations,
-                     paths_by_degree)
+from oracles import (brute_filtered_member, brute_graded_dims, brute_graded_member,
+                     oracle_relations, paths_by_degree, rank_of_rows)
+from preproj import pathalg
 from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
-from preproj.errors import DomainError
+from preproj.errors import DomainError, InternalInconsistency
 from preproj.fixtures import (H_E, MAP_FIXTURES, dim_pi_total,
                               dim_vertex_module, erdmann_a_entry)
 from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
@@ -15,7 +16,7 @@ from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
                              model_for, multiply, parse_element, parse_path,
                              relation_set, trivial_path,
                              verify_zero_product)
-from preproj.weights import FieldElem, Weight, epsilon0
+from preproj.weights import FieldElem, ONE, Weight, ZERO, epsilon0
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
@@ -339,6 +340,90 @@ def test_filtered_dims_match_graded_dims():
     mg = model_for(t, Weight.of([1, "1/2", 0, "2/3", 5]))
     dims = [[m.layer_dims(d) for d in range(9)] for m in (m0, me, mg)]
     assert dims[0] == dims[1] == dims[2]
+
+
+def test_deformed_models_share_the_weight0_elimination():
+    t = ExtDynkinType("D", 5)
+    m0 = model_for(t, Weight.of([0] * 6))
+    deformed = [model_for(t, epsilon0(t)), model_for(t, Weight.of([1, "1/2", 0, "2/3", 5, -1])),
+                model_for(t, Weight.of(["1+i", 0, "-i", 0, 0, 2]))]
+    deformed[1].extend_to(6)
+    deformed[2].extend_to(3)
+    assert m0.graded is None and m0.max_degree() >= 6
+    for m in deformed:
+        assert m.graded is m0
+        assert m.basis is m0.basis and m.rows is m0.rows and m.echelon is m0.echelon
+        assert all(m.layers[d] is m0.layers[d] for d in range(m.max_degree() + 1))
+    zero_models = [k for k in pathalg._MODELS if k[:2] == ("ext", str(t)) and not k[2]]
+    assert zero_models == [("ext", str(t), ())]
+
+
+@pytest.mark.parametrize("t", [ExtDynkinType("A", 2), ExtDynkinType("A", 3),
+                               ExtDynkinType("D", 4)], ids=str)
+def test_deformed_normal_forms_against_brute_force(t):
+    # p minus its normal form, read back as paths, lies in the ideal of
+    # Pi^lambda; adding one basis representative takes it out again
+    rng = random.Random(f"filtered-{t}")
+    q = build_extended(t)
+    paths = paths_by_degree(q, 4)
+    for gaussian in (False, True):
+        entries = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(t.n + 1)]
+        if gaussian:
+            entries = [FieldElem(x, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                       for x in entries]
+        w = Weight.of(entries)
+        weight = {v: w[v] for v in q.vertices}
+        model = model_for(t, w)
+        for d in range(5):
+            for p in paths[d]:
+                rem = {p: ONE}
+                for bid, c in model.nf_path(p).items():
+                    rep = model.basis[bid].rep
+                    rem[rep] = rem.get(rep, ZERO) - c
+                x = PathElement(rem)
+                assert brute_filtered_member(q, weight, x), (str(w), str(p))
+                reps = [b.rep for b in model.basis if b.degree <= d
+                        and (b.source, b.target) == (p.source, p.target)]
+                if reps:
+                    y = PathElement.sum([x, PathElement.of_path(rng.choice(reps))])
+                    assert not brute_filtered_member(q, weight, y), (str(w), str(p))
+
+
+def test_elimination_clears_pivots_brought_in_by_earlier_rows():
+    # the third row meets pivot 5 first; clearing it with the first row
+    # brings in column 3, a pivot by then, so the row vanishes
+    sym_rows = [{5: ONE, 3: ONE}, {3: ONE}, {5: ONE}]
+    rows, pivots, nulls = pathalg._eliminate(sym_rows)
+    assert len(rows) == 2 and pivots == {5: 0, 3: 1}
+    assert [r["sym"] for r in rows] == [{5: 1}, {3: 1}]
+    assert [r["prov"] for r in rows] == [{0: 1, 1: -1}, {1: 1}]
+    assert nulls == [{0: -1, 1: 1, 2: 1}]
+    # tails whose null combination vanishes reduce like the symbols
+    assert pathalg._reduced_tails([{7: ONE}, {7: ONE}, {}], rows, nulls) == [{}, {7: 1}]
+    with pytest.raises(InternalInconsistency):
+        pathalg._reduced_tails([{7: ONE}, {}, {}], rows, nulls)
+
+
+def test_elimination_is_reduced_and_tracks_provenance():
+    rng = random.Random(23)
+    for _ in range(60):
+        width = rng.randint(1, 8)
+        sym_rows = [{k: FieldElem(rng.randint(-2, 2)) for k in rng.sample(range(width),
+                                                                      rng.randint(1, width))}
+                    for _ in range(rng.randint(1, 9))]
+        sym_rows = [{k: x for k, x in r.items() if x} for r in sym_rows]
+        rows, pivots, nulls = pathalg._eliminate(sym_rows)
+        assert len(rows) == rank_of_rows(sym_rows) == len(sym_rows) - len(nulls)
+        assert {r["pivot"]: i for i, r in enumerate(rows)} == pivots
+        for row in rows:
+            assert row["sym"][row["pivot"]] == 1
+            assert not (set(row["sym"]) - {row["pivot"]}) & set(pivots)
+        for prov, want in [(r["prov"], r["sym"]) for r in rows] + [(n, {}) for n in nulls]:
+            got = {}
+            for r, c in prov.items():
+                for k, x in sym_rows[r].items():
+                    got[k] = got.get(k, ZERO) + c * x
+            assert {k: x for k, x in got.items() if x} == want
 
 
 # -- zero products -----------------------------------------------------------
