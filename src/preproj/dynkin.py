@@ -69,10 +69,6 @@ class ExtDynkinType:
     def dynkin(self) -> DynkinType:
         return DynkinType(self.family, self.n)
 
-    @property
-    def vertex_count(self) -> int:
-        return self.n + 1
-
 
 def parse_type(text: str) -> ExtDynkinType | DynkinType:
     """Parse "A5" / "D4" / "E7" or the extended forms "~A5" etc."""
@@ -302,9 +298,6 @@ class VertexPermutation:
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
 
-    def __call__(self, v: int) -> int:
-        return dict(self.mapping)[v]
-
     def is_involution(self) -> bool:
         m = self.as_dict()
         return all(m[m[v]] == v for v in m)
@@ -363,19 +356,22 @@ def _identify_tree(adjacency: dict[int, frozenset[int]]) -> DynkinType:
     raise InternalInconsistency(f"arm lengths {arms} are not of ADE shape")
 
 
-def _isomorphisms(adjacency: dict[int, frozenset[int]],
-                  canon: dict[int, tuple[int, ...]]) -> list[dict[int, int]]:
+def _canonical_isomorphism(adjacency: dict[int, frozenset[int]],
+                           canon: dict[int, tuple[int, ...]]) -> dict[int, int] | None:
+    """The lexicographically smallest isomorphism onto canon, or None.
+
+    The depth-first search assigns the vertices in sorted order and tries
+    the labels in sorted order, so its first complete map is the smallest.
+    """
     verts = sorted(adjacency)
     cverts = sorted(canon)
     cn = {v: frozenset(canon[v]) for v in cverts}
     degs = {v: len(adjacency[v]) for v in verts}
     cdegs = {v: len(cn[v]) for v in cverts}
-    out: list[dict[int, int]] = []
 
-    def extend(m: dict[int, int], used: set[int]) -> None:
+    def extend(m: dict[int, int], used: set[int]) -> dict[int, int] | None:
         if len(m) == len(verts):
-            out.append(dict(m))
-            return
+            return m
         v = verts[len(m)]
         for c in cverts:
             if c in used or cdegs[c] != degs[v]:
@@ -391,11 +387,12 @@ def _isomorphisms(adjacency: dict[int, frozenset[int]],
                     break
             if ok:
                 m[v] = c
-                extend(m, used | {c})
+                if extend(m, used | {c}) is not None:
+                    return m
                 del m[v]
+        return None
 
-    extend({}, set())
-    return out
+    return extend({}, set())
 
 
 def classify_components(q: LabelledDoubleQuiver, keep: set[int]
@@ -427,11 +424,9 @@ def classify_components(q: LabelledDoubleQuiver, keep: set[int]
         seen |= comp
         sub = {u: frozenset(adj[u] & comp) for u in comp}
         dt = _identify_tree(sub)
-        isos = _isomorphisms(sub, dynkin_adjacency(dt))
-        if not isos:
+        best = _canonical_isomorphism(sub, dynkin_adjacency(dt))
+        if best is None:
             raise InternalInconsistency(f"component {sorted(comp)} failed to classify as {dt}")
-        key = lambda m: tuple(m[u] for u in sorted(comp))
-        best = min(isos, key=key)
         components.append((dt, tuple(sorted(comp)), best))
     return components
 

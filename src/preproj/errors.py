@@ -5,9 +5,5 @@ class DomainError(ValueError):
     """A precondition on the mathematical input was violated."""
 
 
-class SearchBudgetExceeded(DomainError):
-    """A bounded search ran out of budget before finding a witness."""
-
-
 class InternalInconsistency(RuntimeError):
     """The computation reached a state the theory says is unreachable."""

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 from .dynkin import Arrow, ExtDynkinType, build_extended
 from .errors import DomainError, InternalInconsistency
-from .pathalg import (Path, PathElement, ZeroProductReport, model_for,
+from .pathalg import (Path, PathElement, ZeroProductReport, eliminate, model_for,
                       multiply, verify_zero_product)
-from .weights import ONE, ZERO, FieldElem, Weight
+from .weights import ONE, FieldElem, Weight
 
 
 class RepetitionQuiver:
@@ -252,10 +252,11 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     psi_k reverses the first pattern walk from the k-th circled 1-cell to
     the box.  phi_k ranges over the weight-0 basis of e_{j_k} Pi e_kernel in
     degree kcol - col_k, and psi.phi = 0 is a linear system in its
-    coefficients.  The maps are resolved when the solutions form a line
-    whose phi entries are all nonzero; the solution is scaled so that the
-    leading term of phi_0 is 1, each (psi_k, phi_k) with a negative leading
-    phi coefficient is negated, and the product is certified.
+    coefficients, whose solutions are the null rows of ``eliminate``.  The
+    maps are resolved when the solutions form a line whose phi entries are
+    all nonzero; the solution is scaled so that the leading term of phi_0 is
+    1, each (psi_k, phi_k) with a negative leading phi coefficient is
+    negated, and the product is certified.
     """
     rq = RepetitionQuiver(r.type)
     p = r.pattern
@@ -279,13 +280,13 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
             if b.source == cell[1] and b.target == kvert:
                 unknowns.append((k, b.rep))
     columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
-    solutions = _nullspace(columns)
+    _, _, solutions = eliminate(columns)
     if len(solutions) != 1:
         return ExtractedMaps(r, summands, None, None, False)
     terms: list[dict[Path, FieldElem]] = [{} for _ in summands]
-    for (k, rep), c in zip(unknowns, solutions[0]):
-        if c:
-            terms[k][rep] = c
+    for j, (k, rep) in enumerate(unknowns):
+        if j in solutions[0]:
+            terms[k][rep] = solutions[0][j]
     if not all(terms):
         return ExtractedMaps(r, summands, None, None, False)
     phi = [PathElement(t) for t in terms]
@@ -298,32 +299,3 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     report = verify_zero_product(r.type, w0, [psi], [[x] for x in phi])
     return ExtractedMaps(r, summands, tuple(psi), tuple(phi), True, report)
 
-
-def _nullspace(columns: list[dict[int, FieldElem]]) -> list[list[FieldElem]]:
-    """Reduced basis of {v : sum_j v_j columns[j] = 0}, one vector per free
-    column of the reduced echelon form, with 1 there and 0 at the other
-    free columns; column j is given sparsely as {row: entry}."""
-    rows = sorted({i for col in columns for i in col})
-    mat = [[col.get(i, ZERO) for col in columns] for i in rows]
-    pivots: list[int] = []
-    for j in range(len(columns)):
-        r = next((i for i in range(len(pivots), len(mat)) if mat[i][j]), None)
-        if r is None:
-            continue
-        top = len(pivots)
-        mat[top], mat[r] = mat[r], mat[top]
-        inv = ONE / mat[top][j]
-        mat[top] = [x * inv for x in mat[top]]
-        for i in range(len(mat)):
-            if i != top and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[top])]
-        pivots.append(j)
-    out = []
-    for free in (j for j in range(len(columns)) if j not in pivots):
-        v = [ZERO] * len(columns)
-        v[free] = ONE
-        for i, j in enumerate(pivots):
-            v[j] = -mat[i][free]
-        out.append(v)
-    return out

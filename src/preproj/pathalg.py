@@ -4,10 +4,12 @@ preprojective relations.
 The workhorse is a layer-by-layer normal-form construction of Pi^lambda:
 filtering by path length, each new layer is presented by symbols
 (basis element, arrow) modulo one relation row per lower basis element, and
-Gaussian elimination yields multiplication tables.  Because the associated
-graded algebra of Pi^lambda is the undeformed Pi, a query element lies in
-the relation ideal exactly when its normal form vanishes, and an explicit
-membership certificate can be pulled out of the stored elimination rows.
+one exact elimination, ``eliminate``, yields multiplication tables.  Because
+the associated graded algebra of Pi^lambda is the undeformed Pi, a query
+element lies in the relation ideal exactly when its normal form vanishes,
+and an explicit membership certificate is read off the stored reduced rows
+by the same clearing step (``_clear``); ``knitting`` takes its nullspaces
+from ``eliminate``'s null rows.
 The same fact makes the symbol elimination independent of lambda: each
 quiver's weight-0 model eliminates once, and a deformed model reuses its
 basis, rows and provenance and solves only for the tails below each layer.
@@ -301,7 +303,7 @@ class QuotientModel:
                         sym[k] = sym.get(k, ZERO) + coef * sign
                 raw_rows.append((cid, v))
                 sym_rows.append({k: x for k, x in sym.items() if x})
-        ech, pivots, nulls = _eliminate(sym_rows)
+        ech, pivots, nulls = eliminate(sym_rows)
 
         # non-pivot symbols become the new layer's basis
         new_layer: list[int] = []
@@ -422,18 +424,26 @@ class QuotientModel:
                     self._consume_top(g, work, suffix, p, g.pop(p), sym_vec)
                 sym_vec = {k: v for k, v in sym_vec.items() if v}
                 if sym_vec:
-                    combo = self._solve_rows(top, sym_vec)
+                    # the reduced rows clear sym_vec and leave minus the
+                    # combination of raw relation rows that spans it in combo
+                    info = self.echelon[top]
+                    residual, combo = dict(sym_vec), {}
+                    _clear(residual, combo, info["rows"], info["pivots"], None)
+                    if any(residual.values()):
+                        raise InternalInconsistency("symbol vector escaped the relation row space")
                     dropped: dict[int, FieldElem] = {}
-                    for ridx, mu in combo.items():
+                    for ridx, nu in combo.items():
+                        if not nu:
+                            continue
                         cid, v = self.rows[top][ridx]
                         rep = self.basis[cid].rep
                         key = (rep, v, Path(v, suffix))
-                        cert[key] = cert.get(key, ZERO) + mu
+                        cert[key] = cert.get(key, ZERO) - nu
                         for q, c in self._expand_generator(cid, v).items():
                             if len(q) == top:
-                                self._consume_top(g, work, suffix, q, -(mu * c), dropped)
+                                self._consume_top(g, work, suffix, q, nu * c, dropped)
                             else:
-                                g[q] = g.get(q, ZERO) - mu * c
+                                g[q] = g.get(q, ZERO) + nu * c
                     # the expansions' symbol content must cancel the query's
                     _axpy(dropped, sym_vec, ONE)
                     if any(dropped.values()):
@@ -466,23 +476,6 @@ class QuotientModel:
             slot = work.setdefault((last,) + suffix, {})
             for q, c in delta.items():
                 slot[q] = slot.get(q, ZERO) + c
-
-    def _solve_rows(self, d: int, sym_vec: dict[int, FieldElem]) -> dict[int, FieldElem]:
-        """Express a symbol vector over the reduced relation rows of degree d."""
-        info = self.echelon[d]
-        residual = dict(sym_vec)
-        combo: dict[int, FieldElem] = {}
-        # rows are fully reduced: eliminating a pivot never reintroduces one
-        for pk in sorted(residual, reverse=True):
-            coef = residual.get(pk)
-            if not coef or pk not in info["pivots"]:
-                continue
-            row = info["rows"][info["pivots"][pk]]
-            _axpy(residual, row["sym"], -coef)
-            _axpy(combo, row["prov"], coef)
-        if any(residual.values()):
-            raise InternalInconsistency("symbol vector escaped the relation row space")
-        return {k: v for k, v in combo.items() if v}
 
     def _expand_generator(self, cid: int, v: int) -> dict[Path, FieldElem]:
         """rep(c) * rho_v as an explicit path combination."""
@@ -524,14 +517,17 @@ def _clear(sym: dict, prov: dict, rows: list[dict], pivots: dict[int, int],
         _axpy(prov, row["prov"], neg)
 
 
-def _eliminate(sym_rows: list[dict[int, FieldElem]]
-               ) -> tuple[list[dict], dict[int, int], list[dict[int, FieldElem]]]:
-    """Reduced echelon form of the rows on their columns.
+def eliminate(sym_rows: list[dict[int, FieldElem]]
+              ) -> tuple[list[dict], dict[int, int], list[dict[int, FieldElem]]]:
+    """Reduced echelon form of the rows on their columns; the one exact
+    elimination of the package.
 
     Returns the reduced rows ({"pivot", "sym", "prov"}, each row 1 at its
     pivot, the largest column of its forward form, and prov its combination
     of the input rows), the row index of each pivot column, and the
-    provenance of every input row that reduced to zero."""
+    provenance of every input row that reduced to zero.  The null row j has
+    coefficient 1 at j and its other entries on earlier independent rows,
+    so the null provenances are the reduced basis of the left nullspace."""
     rows: list[dict] = []
     pivots: dict[int, int] = {}
     nulls: list[dict[int, FieldElem]] = []
@@ -544,10 +540,12 @@ def _eliminate(sym_rows: list[dict[int, FieldElem]]
             nulls.append({k: x for k, x in prov.items() if x})
             continue
         pk = max(sym)
-        inv = ONE / sym[pk]
+        if sym[pk] != ONE:
+            inv = ONE / sym[pk]
+            sym = {k: x * inv for k, x in sym.items()}
+            prov = {k: x * inv for k, x in prov.items()}
         pivots[pk] = len(rows)
-        rows.append({"pivot": pk, "sym": {k: x * inv for k, x in sym.items()},
-                     "prov": {k: x * inv for k, x in prov.items()}})
+        rows.append({"pivot": pk, "sym": sym, "prov": prov})
     # back-substitute to reduced echelon form
     for row in rows:
         _clear(row["sym"], row["prov"], rows, pivots, row["pivot"])

@@ -1,6 +1,8 @@
 """Weights on extended Dynkin quivers: ordered-field arithmetic, dual
 reflections, quasi-dominance, and the numbers game used to find smooth
-deformations.
+deformations.  Quasi-dominance and the numbers game share one firing loop,
+which ends by theorem (finite type, or positive level), so neither has a
+step cap.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynkin import ExtDynkinType, cartan, delta_vector
-from .errors import DomainError, InternalInconsistency, SearchBudgetExceeded
+from .errors import DomainError, InternalInconsistency
 
 
 def _canon(x: int | Fraction) -> int | Fraction:
@@ -283,33 +285,35 @@ def classify_weight(t: ExtDynkinType, w: Weight) -> WeightClass:
     return WeightClass(commutative, qd, dom, singular, smooth)
 
 
-QUASI_DOM_CAP = 10 ** 6
-# firings before numbers_game gives up
-NUMBERS_GAME_STEPS = 200_000
 # the largest entry of a configuration resolve_to_smooth tries
 CANDIDATE_MAX_ENTRY = 3
+
+
+def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[int]]:
+    """The numbers game on the given vertices: fire the most negative one
+    (ties to the smallest index) until none is negative.  Returns the
+    terminal weight and the firing sequence.  Each caller admits only
+    games that end, so there is no step cap."""
+    fired: list[int] = []
+    while True:
+        neg = [i for i in vertices if w[i] < ZERO]
+        if not neg:
+            return w, fired
+        i = min(neg, key=lambda j: (w[j]._key(), j))
+        w = dual_reflection(t, w, i)
+        fired.append(i)
 
 
 def quasi_dominantize(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
     """Reflect at non-extending vertices until the weight is quasi-dominant.
 
-    Plays the finite-type numbers game (fire the most negative vertex, ties
-    to the smallest index); this terminates within the number of positive
-    roots of the Dynkin part.
+    Plays the finite-type numbers game on vertices 1..n.  Each firing
+    removes one positive root of the Dynkin part from the inversion set, in
+    any ordered Q-vector space (the Gaussian lex order included), so the
+    word has at most n*h/2 letters.
     """
     _check_length(t, w)
-    seq: list[int] = []
-    steps = 0
-    while True:
-        neg = [i for i in range(1, t.n + 1) if w[i] < ZERO]
-        if not neg:
-            return w, seq
-        i = min(neg, key=lambda j: (w[j]._key(), j))
-        w = dual_reflection(t, w, i)
-        seq.append(i)
-        steps += 1
-        if steps > QUASI_DOM_CAP:
-            raise SearchBudgetExceeded("quasi-dominantization exceeded the orbit cap")
+    return _fire(t, w, range(1, t.n + 1))
 
 
 def schedler_configuration(t: ExtDynkinType) -> Weight:
@@ -320,17 +324,17 @@ def schedler_configuration(t: ExtDynkinType) -> Weight:
 
 def numbers_game(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
     """Fire negative vertices (any index, most negative first) until none
-    remain.  Returns the terminal weight and the firing sequence."""
-    _check_length(t, w)
-    fired: list[int] = []
-    for _ in range(NUMBERS_GAME_STEPS):
-        neg = [i for i in range(t.n + 1) if w[i] < ZERO]
-        if not neg:
-            return w, fired
-        i = min(neg, key=lambda j: (w[j]._key(), j))
-        w = dual_reflection(t, w, i)
-        fired.append(i)
-    raise SearchBudgetExceeded("numbers game did not terminate within the step budget")
+    remain.  Returns the terminal weight and the firing sequence.
+
+    The weight must have positive level, Re(w . delta) > 0.  Then the real
+    parts play a legal real game at positive level, which ends (Mozes;
+    Eriksson's strong convergence), and a vertex with real part 0 fires
+    only after that, on a proper and hence finite-type subdiagram.
+    """
+    level = dot_delta(t, w)
+    if not level.re > 0:
+        raise DomainError(f"the numbers game needs a weight of positive level, not {level}")
+    return _fire(t, w, range(t.n + 1))
 
 
 def _candidate_positives(t: ExtDynkinType):

@@ -144,6 +144,22 @@ def graph_automorphisms(adjacency: dict[int, tuple[int, ...]]) -> list[dict[int,
     return autos
 
 
+def brute_canonical_map(adjacency: dict[int, tuple[int, ...]],
+                        canon: dict[int, tuple[int, ...]]) -> dict[int, int] | None:
+    """The lexicographically smallest adjacency-preserving bijection from
+    the vertices of one small graph onto those of another (brute force:
+    permutations of the sorted labels come in lexicographic order)."""
+    verts, labels = sorted(adjacency), sorted(canon)
+    if len(verts) != len(labels):
+        return None
+    cn = {c: frozenset(canon[c]) for c in labels}
+    for perm in itertools.permutations(labels):
+        m = dict(zip(verts, perm))
+        if all(frozenset(m[w] for w in adjacency[v]) == cn[m[v]] for v in verts):
+            return m
+    return None
+
+
 def det_int(matrix: tuple[tuple[int, ...], ...]) -> int:
     """Determinant of a small integer matrix, exactly."""
     m = [[Fraction(x) for x in row] for row in matrix]

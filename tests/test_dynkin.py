@@ -1,8 +1,10 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from oracles import det_int, graph_automorphisms
+from oracles import brute_canonical_map, det_int, graph_automorphisms
 from preproj.dynkin import (DynkinType, ExtDynkinType, build_dynkin, build_extended, cartan,
                             classify_components, dynkin_adjacency, nakayama,
                             parse_type)
@@ -160,6 +162,35 @@ def test_classify_canonical_map_is_isomorphism():
             for v in verts:
                 nbrs = {w for w in q.neighbours(v) if w in verts}
                 assert {canon[w] for w in nbrs} == set(canon_adj[canon[v]])
+
+
+def assert_canonical_maps(q, keep):
+    for dt, verts, canon in classify_components(q, keep):
+        sub = {v: tuple(w for w in q.neighbours(v) if w in verts) for v in verts}
+        assert canon == brute_canonical_map(sub, dynkin_adjacency(dt)), (q.type, keep)
+
+
+def test_classify_canonical_map_is_smallest_on_every_small_subset():
+    # every vertex subset of the extended types with n <= 6
+    for t in ALL_EXTENDED:
+        if t.n > 6:
+            continue
+        q = build_extended(t)
+        for size in range(t.n + 1):
+            for keep in itertools.combinations(range(1, t.n + 1), size):
+                assert_canonical_maps(q, set(keep))
+
+
+def test_classify_canonical_map_is_smallest_on_sampled_subsets():
+    rng = random.Random(41)
+    for t in ALL_EXTENDED:
+        if t.n <= 6:
+            continue
+        q = build_extended(t)
+        samples = [set(range(1, t.n + 1))]
+        samples += [{v for v in range(1, t.n + 1) if rng.random() < 0.7} for _ in range(25)]
+        for keep in samples:
+            assert_canonical_maps(q, keep)
 
 
 def test_paths_alternate_in_de_doubles():

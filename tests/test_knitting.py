@@ -6,9 +6,9 @@ import pytest
 from preproj.dynkin import ExtDynkinType, build_extended
 from preproj.errors import DomainError
 from preproj.fixtures import golden_knit_fixtures, worked_example_fixtures
-from preproj.knitting import _nullspace, extract_maps, knit, render_pattern
-from preproj.pathalg import (MembershipCertificate, check_certificate, format_element,
-                             ideal_member, model_for, parse_element)
+from preproj.knitting import extract_maps, knit, render_pattern
+from preproj.pathalg import (MembershipCertificate, check_certificate, eliminate,
+                             format_element, ideal_member, model_for, parse_element)
 from preproj.weights import ONE, ZERO, FieldElem, Weight
 
 
@@ -212,6 +212,13 @@ def test_changed_phi_is_a_new_representative(corpus_maps):
     assert seen == set(OLD_PHI)
 
 
+def null_vectors(columns):
+    """The null-row provenances of eliminate(columns) as dense vectors:
+    extract_maps' reduced nullspace basis of sum_j v_j columns[j] = 0."""
+    return [[null.get(j, ZERO) for j in range(len(columns))]
+            for null in eliminate(columns)[2]]
+
+
 def _vector_is_null(columns, v):
     rows = {i for col in columns for i in col}
     return all(sum((col.get(i, ZERO) * x for col, x in zip(columns, v)), ZERO) == ZERO
@@ -220,14 +227,14 @@ def _vector_is_null(columns, v):
 
 def test_nullspace_full_rank_is_empty():
     columns = [{0: ONE, 1: FieldElem.of(2)}, {0: FieldElem.of(3), 1: FieldElem.of(4)}]
-    assert _nullspace(columns) == []
+    assert null_vectors(columns) == []
 
 
 def test_nullspace_corank_two_is_reduced():
     # rank 1 on three columns, pivot 2; the free columns are 1 and 2
     columns = [{0: FieldElem.of(2), 1: FieldElem.of(4)},
                {0: FieldElem.of(-6), 1: FieldElem.of(-12)}, {0: ONE, 1: FieldElem.of(2)}]
-    null = _nullspace(columns)
+    null = null_vectors(columns)
     assert null == [[FieldElem.of(3), ONE, ZERO], [FieldElem.of("-1/2"), ZERO, ONE]]
     assert all(_vector_is_null(columns, v) for v in null)
 
@@ -235,12 +242,12 @@ def test_nullspace_corank_two_is_reduced():
 def test_nullspace_with_a_row_swap():
     # column 0 is zero in row 0; column 2 = 2 * column 0 + 2 * column 1
     columns = [{1: FieldElem.of(3)}, {0: ONE}, {0: FieldElem.of(2), 1: FieldElem.of(6)}]
-    assert _nullspace(columns) == [[FieldElem.of(-2), FieldElem.of(-2), ONE]]
+    assert null_vectors(columns) == [[FieldElem.of(-2), FieldElem.of(-2), ONE]]
 
 
 def test_nullspace_of_zero_and_empty_columns():
-    assert _nullspace([{}, {}]) == [[ONE, ZERO], [ZERO, ONE]]
-    assert _nullspace([]) == []
+    assert null_vectors([{}, {}]) == [[ONE, ZERO], [ZERO, ONE]]
+    assert null_vectors([]) == []
 
 
 def test_nullspace_gaussian_entries():
@@ -248,6 +255,6 @@ def test_nullspace_gaussian_entries():
     # column 1 = i * column 0, and column 2 is independent of both
     columns = [{0: FieldElem.of("2i"), 1: FieldElem.of(-2)},
                {0: FieldElem.of(-2), 1: FieldElem.of("-2i")}, {1: ONE}]
-    null = _nullspace(columns)
+    null = null_vectors(columns)
     assert null == [[-i, ONE, ZERO]]
     assert _vector_is_null(columns, null[0])

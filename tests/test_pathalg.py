@@ -393,7 +393,7 @@ def test_elimination_clears_pivots_brought_in_by_earlier_rows():
     # the third row meets pivot 5 first; clearing it with the first row
     # brings in column 3, a pivot by then, so the row vanishes
     sym_rows = [{5: ONE, 3: ONE}, {3: ONE}, {5: ONE}]
-    rows, pivots, nulls = pathalg._eliminate(sym_rows)
+    rows, pivots, nulls = pathalg.eliminate(sym_rows)
     assert len(rows) == 2 and pivots == {5: 0, 3: 1}
     assert [r["sym"] for r in rows] == [{5: 1}, {3: 1}]
     assert [r["prov"] for r in rows] == [{0: 1, 1: -1}, {1: 1}]
@@ -412,7 +412,7 @@ def test_elimination_is_reduced_and_tracks_provenance():
                                                                       rng.randint(1, width))}
                     for _ in range(rng.randint(1, 9))]
         sym_rows = [{k: x for k, x in r.items() if x} for r in sym_rows]
-        rows, pivots, nulls = pathalg._eliminate(sym_rows)
+        rows, pivots, nulls = pathalg.eliminate(sym_rows)
         assert len(rows) == rank_of_rows(sym_rows) == len(sym_rows) - len(nulls)
         assert {r["pivot"]: i for i, r in enumerate(rows)} == pivots
         for row in rows:

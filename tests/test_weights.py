@@ -122,6 +122,68 @@ def test_quasi_dominantize_replay_property():
         assert apply_reflections(t, w, seq) == out
 
 
+def positive_roots(t):
+    return t.n * t.dynkin.coxeter_number // 2
+
+
+def test_quasi_dominantize_word_is_at_most_the_positive_roots():
+    # each firing removes a positive root of the Dynkin part from the
+    # inversion set, in the Gaussian lex order too
+    rng = random.Random(29)
+    for t in ALL_EXTENDED:
+        for gaussian in (False, True):
+            for _ in range(20):
+                entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(t.n + 1)]
+                if gaussian:
+                    entries = [FieldElem(x, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                               for x in entries]
+                w = Weight.of(entries)
+                out, seq = quasi_dominantize(t, w)
+                assert len(seq) <= positive_roots(t), (t, str(w))
+                assert is_quasi_dominant(t, out) and apply_reflections(t, w, seq) == out
+
+
+def test_quasi_dominantize_bound_is_sharp():
+    # from a strictly antidominant weight the game plays the longest element
+    for t in ALL_EXTENDED:
+        for tail in (-1, FieldElem(0, -1)):
+            out, seq = quasi_dominantize(t, Weight.of([0] + [tail] * t.n))
+            assert len(seq) == positive_roots(t), t
+            assert all(out[i] > ZERO for i in range(1, t.n + 1))
+
+
+def test_numbers_game_rejects_level_at_most_zero_at_once(monkeypatch):
+    def no_firing(*args):
+        raise AssertionError("a vertex fired before the level check")
+
+    monkeypatch.setattr("preproj.weights.dual_reflection", no_firing)
+    t = ExtDynkinType("A", 2)
+    for w in ([1, -1, 0], [-1, 0, 0], [0, 0, 0], ["i", "-i", 0], ["-1+5i", 0, 0]):
+        with pytest.raises(DomainError, match="positive level"):
+            numbers_game(t, Weight.of(w))
+    e8 = ExtDynkinType("E", 8)
+    # delta_8 = 3, so the level is 2 - 3 = -1
+    with pytest.raises(DomainError, match="positive level"):
+        numbers_game(e8, Weight.of([2] + [0] * 7 + [-1]))
+
+
+def test_numbers_game_ends_at_positive_real_level_with_gaussian_weights():
+    rng = random.Random(31)
+    for t in ALL_EXTENDED:
+        d = delta_vector(t)
+        for _ in range(6):
+            entries = [FieldElem(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(t.n + 1)]
+            # set the real part of w_0 so that the real level is 1 or 2
+            rest = sum((x.re * di for x, di in zip(entries[1:], d[1:])), 0)
+            entries[0] = FieldElem(rng.randint(1, 2) - rest, entries[0].im)
+            w = Weight.of(entries)
+            assert dot_delta(t, w).re > 0
+            out, fired = numbers_game(t, w)
+            assert all(x >= ZERO for x in out.entries), (t, str(w))
+            assert apply_reflections(t, w, fired) == out
+            assert dot_delta(t, out) == dot_delta(t, w)
+
+
 def test_resolve_to_smooth_a2():
     t = ExtDynkinType("A", 2)
     seq, mu = resolve_to_smooth(t)
