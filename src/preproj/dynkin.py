@@ -298,15 +298,6 @@ class VertexPermutation:
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
 
-    def is_involution(self) -> bool:
-        m = self.as_dict()
-        return all(m[m[v]] == v for v in m)
-
-    def preserves(self, adjacency: dict[int, tuple[int, ...]]) -> bool:
-        m = self.as_dict()
-        return all(sorted(m[w] for w in adjacency[v] if w in m) == sorted(adjacency[m[v]])
-                   for v in m)
-
 
 def nakayama(t: DynkinType) -> VertexPermutation:
     """Graph automorphism induced by the Nakayama functor of Pi(Q).
@@ -326,34 +317,6 @@ def nakayama(t: DynkinType) -> VertexPermutation:
     if n == 6:
         return VertexPermutation.of({1: 1, 2: 6, 3: 5, 4: 4, 5: 3, 6: 2})
     return VertexPermutation.of({i: i for i in verts})
-
-
-def _identify_tree(adjacency: dict[int, frozenset[int]]) -> DynkinType:
-    m = len(adjacency)
-    degs = sorted(len(nb) for nb in adjacency.values())
-    branch = [v for v, nb in adjacency.items() if len(nb) >= 3]
-    if not branch:
-        return DynkinType("A", m)
-    if len(branch) > 1 or degs[-1] > 3:
-        raise InternalInconsistency("component is not of ADE shape")
-    c = branch[0]
-    # arm lengths from the unique degree-3 vertex
-    arms = []
-    for start in adjacency[c]:
-        length, prev, cur = 1, c, start
-        while True:
-            nxt = [w for w in adjacency[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == arms[1] == 1:
-        return DynkinType("D", m)
-    if arms[:2] == [1, 2] and m in (6, 7, 8):
-        return DynkinType("E", m)
-    raise InternalInconsistency(f"arm lengths {arms} are not of ADE shape")
 
 
 def _canonical_isomorphism(adjacency: dict[int, frozenset[int]],
@@ -400,8 +363,11 @@ def classify_components(q: LabelledDoubleQuiver, keep: set[int]
     """Connected components of the full subquiver on ``keep``, classified.
 
     Every component of a proper subquiver of an extended Dynkin diagram is
-    Dynkin; each is returned with a deterministic isomorphism onto the
-    canonical labelling (the lexicographically smallest one).
+    Dynkin.  A component on m vertices is matched against A_m, D_m and E_m
+    in that order by one isomorphism search, and is returned with the first
+    map found, the lexicographically smallest isomorphism onto the canonical
+    labelling; the Dynkin graphs on m vertices are pairwise non-isomorphic,
+    so the type is unique.
     """
     keep = set(keep)
     if q.type is not None and 0 in keep:
@@ -423,10 +389,14 @@ def classify_components(q: LabelledDoubleQuiver, keep: set[int]
                     stack.append(w)
         seen |= comp
         sub = {u: frozenset(adj[u] & comp) for u in comp}
-        dt = _identify_tree(sub)
-        best = _canonical_isomorphism(sub, dynkin_adjacency(dt))
-        if best is None:
-            raise InternalInconsistency(f"component {sorted(comp)} failed to classify as {dt}")
-        components.append((dt, tuple(sorted(comp)), best))
+        m = len(comp)
+        for family in "ADE" if m in (6, 7, 8) else "AD" if m >= 4 else "A":
+            dt = DynkinType(family, m)
+            best = _canonical_isomorphism(sub, dynkin_adjacency(dt))
+            if best is not None:
+                components.append((dt, tuple(sorted(comp)), best))
+                break
+        else:
+            raise InternalInconsistency(f"component {sorted(comp)} is not of ADE shape")
     return components
 

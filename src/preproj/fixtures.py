@@ -230,7 +230,7 @@ class MapFixture:
         return psi, phi
 
     def zero_weight(self) -> Weight:
-        """Zeros exactly on the component, 1 everywhere."""
+        """The zero weight on every vertex."""
         return Weight.of([0] * (self.type.n + 1))
 
     def component_weight(self) -> Weight:

@@ -278,7 +278,7 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
         for bid in model.layers[length]:
             b = model.basis[bid]
             if b.source == cell[1] and b.target == kvert:
-                unknowns.append((k, b.rep))
+                unknowns.append((k, b))
     columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
     _, _, solutions = eliminate(columns)
     if len(solutions) != 1:

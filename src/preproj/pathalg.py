@@ -185,24 +185,6 @@ def format_element(x: PathElement) -> str:
     return "  +  ".join(bits)
 
 
-def parse_element(q: LabelledDoubleQuiver, text: str) -> PathElement:
-    """Parse the textual format emitted by :func:`format_element`."""
-    text = text.strip()
-    if text == "0":
-        return PathElement.zero()
-    out: dict[Path, FieldElem] = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coef_s, rest = chunk.split("*", 1)
-        body, ends = rest.rsplit(":", 1)
-        src = int(ends.split("->")[0])
-        p = parse_path(q, body.strip(), source=src)
-        out[p] = out.get(p, ZERO) + FieldElem.of(coef_s.strip())
-    return PathElement(out)
-
-
 # ---------------------------------------------------------------------------
 # relations
 
@@ -223,15 +205,6 @@ def relation_set(q: LabelledDoubleQuiver, weight: dict[int, FieldElem]) -> dict[
 
 # ---------------------------------------------------------------------------
 # the normal-form engine
-
-
-@dataclass
-class _Basis:
-    idx: int
-    degree: int
-    source: int
-    target: int
-    rep: Path
 
 
 class QuotientModel:
@@ -256,18 +229,18 @@ class QuotientModel:
         # the weight-0 model of the quiver, or None when this is that model
         self.graded = _graded_model(quiver) if any(self.weight.values()) else None
         if self.graded is not None:
-            self.basis: list[_Basis] = self.graded.basis
+            # basis element i is its representative path; its degree is the length
+            self.basis: list[Path] = self.graded.basis
             # per degree: the raw (c, v) relation rows, and their reduced rows
             # with provenance over them, used to build layers and certificates
             self.rows: list[list[tuple[int, int]]] = self.graded.rows
             self.echelon: list[dict] = self.graded.echelon
             self.layers: list[list[int]] = [self.graded.layers[0]]
         else:
-            self.basis = [_Basis(i, 0, v, v, trivial_path(v))
-                          for i, v in enumerate(quiver.vertices)]
+            self.basis = [trivial_path(v) for v in quiver.vertices]
             self.rows = [[]]
             self.echelon = [{}]
-            self.layers = [[b.idx for b in self.basis]]
+            self.layers = [list(range(len(self.basis)))]
 
     # -- layer construction -------------------------------------------------
 
@@ -311,11 +284,9 @@ class QuotientModel:
         for k, (bid, a) in enumerate(syms):
             if k in pivots:
                 continue
-            b = self.basis[bid]
-            nb = _Basis(len(self.basis), d, b.source, a.head, b.rep.then(a))
-            self.basis.append(nb)
-            new_layer.append(nb.idx)
-            sym_to_basis[k] = nb.idx
+            sym_to_basis[k] = len(self.basis)
+            new_layer.append(len(self.basis))
+            self.basis.append(self.basis[bid].then(a))
         self.layers.append(new_layer)
 
         for k, (bid, a) in enumerate(syms):
@@ -436,8 +407,7 @@ class QuotientModel:
                         if not nu:
                             continue
                         cid, v = self.rows[top][ridx]
-                        rep = self.basis[cid].rep
-                        key = (rep, v, Path(v, suffix))
+                        key = (self.basis[cid], v, Path(v, suffix))
                         cert[key] = cert.get(key, ZERO) - nu
                         for q, c in self._expand_generator(cid, v).items():
                             if len(q) == top:
@@ -464,12 +434,12 @@ class QuotientModel:
         delta = {prefix: coef}
         for bid, c in self.nf_path(prefix).items():
             b = self.basis[bid]
-            delta[b.rep] = delta.get(b.rep, ZERO) - coef * c
-            if b.degree == top - 1:
+            delta[b] = delta.get(b, ZERO) - coef * c
+            if len(b) == top - 1:
                 k = info["sym_index"][(bid, last.id)]
                 sym_sink[k] = sym_sink.get(k, ZERO) + coef * c
             else:
-                p2 = b.rep.then(last)
+                p2 = b.then(last)
                 g[p2] = g.get(p2, ZERO) + coef * c
         delta = {q: c for q, c in delta.items() if c}
         if delta:
@@ -478,8 +448,8 @@ class QuotientModel:
                 slot[q] = slot.get(q, ZERO) + c
 
     def _expand_generator(self, cid: int, v: int) -> dict[Path, FieldElem]:
-        """rep(c) * rho_v as an explicit path combination."""
-        rep = self.basis[cid].rep
+        """Basis path c times rho_v as an explicit path combination."""
+        rep = self.basis[cid]
         return {rep.concat(p): c for p, c in self.rels[v].terms.items()}
 
     # -- dimension data --------------------------------------------------------

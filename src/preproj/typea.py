@@ -11,14 +11,6 @@ from .errors import DomainError
 from .weights import FieldElem, ONE, Weight, ZERO, dot_delta
 
 
-def _poly_mul(a: list[FieldElem], b: list[FieldElem]) -> list[FieldElem]:
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 @dataclass(frozen=True)
 class TypeAPresentation:
     """Relations of the corner algebra of ~A_n:
@@ -46,8 +38,10 @@ def presentation(n: int, w: Weight) -> TypeAPresentation:
     partial = ZERO
     for i in range(n + 1):
         partial = partial + w[i] if i >= 1 else partial
-        xy = _poly_mul(xy, [partial, ONE])
-        yx = _poly_mul(yx, [partial - shift, ONE])
+        # times the monic factors z + partial and z + partial - shift, in one pass each
+        low = partial - shift
+        xy = [x * partial + y for x, y in zip(xy + [ZERO], [ZERO] + xy)]
+        yx = [x * low + y for x, y in zip(yx + [ZERO], [ZERO] + yx)]
     return TypeAPresentation(n, shift, tuple(xy), tuple(yx))
 
 

@@ -290,16 +290,15 @@ CANDIDATE_MAX_ENTRY = 3
 
 
 def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[int]]:
-    """The numbers game on the given vertices: fire the most negative one
-    (ties to the smallest index) until none is negative.  Returns the
-    terminal weight and the firing sequence.  Each caller admits only
-    games that end, so there is no step cap."""
+    """The numbers game on the given vertices: fire the smallest entry (ties
+    to the smallest index) while it is negative.  Returns the terminal
+    weight and the firing sequence.  Each caller admits only games that
+    end, so there is no step cap."""
     fired: list[int] = []
     while True:
-        neg = [i for i in vertices if w[i] < ZERO]
-        if not neg:
+        i = min(vertices, key=lambda j: (w[j]._key(), j))
+        if not w[i] < ZERO:
             return w, fired
-        i = min(neg, key=lambda j: (w[j]._key(), j))
         w = dual_reflection(t, w, i)
         fired.append(i)
 
@@ -339,15 +338,13 @@ def numbers_game(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
 
 def _candidate_positives(t: ExtDynkinType):
     """Integer weights with all non-extending entries positive, on the
-    level-1 hyperplane, ordered by total size."""
+    level-1 hyperplane, ordered by total size.  The only one of total n is
+    all ones there, the Schedler configuration, so it comes first."""
     n = t.n
     d = delta_vector(t)
-    yield schedler_configuration(t)
     for total in range(n, CANDIDATE_MAX_ENTRY * n + 1):
         for comp in _compositions(total, n):
-            w = Weight.of([1 - sum(c * d[i + 1] for i, c in enumerate(comp))] + list(comp))
-            if w != schedler_configuration(t):
-                yield w
+            yield Weight.of([1 - sum(c * d[i + 1] for i, c in enumerate(comp))] + list(comp))
 
 
 def _compositions(total: int, parts: int):

@@ -1,5 +1,6 @@
 """Independent brute-force oracles used to freeze expected test values,
-and the seeded input generator of the parser fuzz tests.
+the seeded input generator of the parser fuzz tests, and the helpers only
+tests need: parsing printed elements and checking vertex permutations.
 
 Everything here works from first principles (path enumeration, span ranks
 over exact rationals) and never calls the layered engine it checks.
@@ -10,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from preproj.dynkin import Arrow, build_extended
-from preproj.pathalg import Path, PathElement, multiply, trivial_path
+from preproj.pathalg import Path, PathElement, multiply, parse_path, trivial_path
 from preproj.weights import FieldElem, ONE, ZERO
 
 
@@ -60,6 +61,24 @@ def oracle_relations(t, weight):
     """The relations of ~X_n at a Weight, without the engine's relation_set."""
     q = build_extended(t)
     return quiver_relations(q, {v: weight[v] for v in q.vertices})
+
+
+def parse_element(quiver, text):
+    """Parse the textual format emitted by preproj.pathalg.format_element."""
+    text = text.strip()
+    if text == "0":
+        return PathElement.zero()
+    out = {}
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        coef_s, rest = chunk.split("*", 1)
+        body, ends = rest.rsplit(":", 1)
+        src = int(ends.split("->")[0])
+        p = parse_path(quiver, body.strip(), source=src)
+        out[p] = out.get(p, ZERO) + FieldElem.of(coef_s.strip())
+    return PathElement(out)
 
 
 def graded_ideal_span(quiver, degree):
@@ -142,6 +161,20 @@ def graph_automorphisms(adjacency: dict[int, tuple[int, ...]]) -> list[dict[int,
         if all(frozenset(m[w] for w in nbrs[v]) == nbrs[m[v]] for v in verts):
             autos.append(m)
     return autos
+
+
+def is_involution(perm) -> bool:
+    """Whether a VertexPermutation squares to the identity."""
+    m = perm.as_dict()
+    return all(m[m[v]] == v for v in m)
+
+
+def preserves(perm, adjacency: dict[int, tuple[int, ...]]) -> bool:
+    """Whether a VertexPermutation maps the neighbours of each vertex in its
+    domain onto the neighbours of the image (counted with multiplicity)."""
+    m = perm.as_dict()
+    return all(sorted(m[w] for w in adjacency[v] if w in m) == sorted(adjacency[m[v]])
+               for v in m)
 
 
 def brute_canonical_map(adjacency: dict[int, tuple[int, ...]],

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+from oracles import is_involution, preserves
 from preproj.dynkin import DynkinType, ExtDynkinType, build_extended
 from preproj.fixtures import (H_E, MAP_FIXTURES, erdmann_a_entry,
                               golden_knit_fixtures, worked_example_fixtures)
@@ -132,10 +133,10 @@ def test_criterion_5_translation_decomposition():
         dec = q_lambda_decompose(t, w)
         pi = translation_permutation(dec).permutation
         m = pi.as_dict()
-        ok &= pi.is_involution()
+        ok &= is_involution(pi)
         q = build_extended(t)
         adj = {v: tuple(x for x in q.neighbours(v) if x in m) for v in m}
-        ok &= pi.preserves(adj)
+        ok &= preserves(pi, adj)
         ok &= all({m[v] for v in vs} == set(vs) for _, vs, _ in dec.components)
         ok &= sum(len(vs) for _, vs, _ in dec.components) == len(dec.i_lambda)
     conclude("criterion-5 translation/decomposition", ok,

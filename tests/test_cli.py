@@ -2,12 +2,12 @@ import hashlib
 import json
 import random
 
-from oracles import fuzz_argv, fuzz_text
+from oracles import fuzz_argv, fuzz_text, parse_element
 from preproj import cli
 from preproj.cli import dispatch, main, to_json
 from preproj.dynkin import build_extended, parse_type
 from preproj.errors import InternalInconsistency
-from preproj.pathalg import MembershipCertificate, check_certificate, parse_element, parse_path
+from preproj.pathalg import MembershipCertificate, check_certificate, parse_path
 from preproj.weights import parse_field_elem, parse_weight
 
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import brute_canonical_map, det_int, graph_automorphisms
+from oracles import (brute_canonical_map, det_int, graph_automorphisms, is_involution,
+                     preserves)
 from preproj.dynkin import (DynkinType, ExtDynkinType, build_dynkin, build_extended, cartan,
                             classify_components, dynkin_adjacency, nakayama,
                             parse_type)
@@ -115,8 +116,8 @@ def test_nakayama_is_adjacency_preserving_involution():
              + [DynkinType("E", n) for n in (6, 7, 8)])
     for t in types:
         nak = nakayama(t)
-        assert nak.is_involution()
-        assert nak.preserves(dynkin_adjacency(t))
+        assert is_involution(nak)
+        assert preserves(nak, dynkin_adjacency(t))
 
 
 def test_classify_e6_d4_component():
@@ -144,6 +145,16 @@ def test_classify_rejects_extending_vertex():
     q = build_extended(ExtDynkinType("D", 4))
     with pytest.raises(DomainError):
         classify_components(q, {0, 1})
+
+
+def test_classify_rejects_a_component_of_no_ade_shape():
+    # the whole extended diagram is a cycle (~A) or a tree with too many
+    # branches or too long arms, so no A_m, D_m or E_m matches it
+    for t in ALL_EXTENDED:
+        q = build_extended(t)
+        everything = set(q.vertices)
+        with pytest.raises(InternalInconsistency):
+            classify_components(q.full_subquiver(everything), everything)
 
 
 def test_classify_order_independent():

@@ -3,12 +3,13 @@ from collections import Counter
 
 import pytest
 
+from oracles import parse_element
 from preproj.dynkin import ExtDynkinType, build_extended
 from preproj.errors import DomainError
 from preproj.fixtures import golden_knit_fixtures, worked_example_fixtures
 from preproj.knitting import extract_maps, knit, render_pattern
 from preproj.pathalg import (MembershipCertificate, check_certificate, eliminate,
-                             format_element, ideal_member, model_for, parse_element)
+                             format_element, ideal_member, model_for)
 from preproj.weights import ONE, ZERO, FieldElem, Weight
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (brute_filtered_member, brute_graded_dims, brute_graded_member,
-                     oracle_relations, paths_by_degree, rank_of_rows)
+                     oracle_relations, parse_element, paths_by_degree, rank_of_rows)
 from preproj import pathalg
 from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
 from preproj.errors import DomainError, InternalInconsistency
@@ -13,7 +13,7 @@ from preproj.fixtures import (H_E, MAP_FIXTURES, dim_pi_total,
 from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
                              Path, PathElement, check_certificate, format_element,
                              graded_dims_pi, hom_matrix, ideal_member,
-                             model_for, multiply, parse_element, parse_path,
+                             model_for, multiply, parse_path,
                              relation_set, trivial_path,
                              verify_zero_product)
 from preproj.weights import FieldElem, ONE, Weight, ZERO, epsilon0
@@ -378,11 +378,11 @@ def test_deformed_normal_forms_against_brute_force(t):
             for p in paths[d]:
                 rem = {p: ONE}
                 for bid, c in model.nf_path(p).items():
-                    rep = model.basis[bid].rep
+                    rep = model.basis[bid]
                     rem[rep] = rem.get(rep, ZERO) - c
                 x = PathElement(rem)
                 assert brute_filtered_member(q, weight, x), (str(w), str(p))
-                reps = [b.rep for b in model.basis if b.degree <= d
+                reps = [b for b in model.basis if len(b) <= d
                         and (b.source, b.target) == (p.source, p.target)]
                 if reps:
                     y = PathElement.sum([x, PathElement.of_path(rng.choice(reps))])

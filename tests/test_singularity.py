@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import is_involution, preserves
 from preproj.dynkin import ExtDynkinType, build_extended
 from preproj.errors import DomainError
 from preproj.singularity import (descriptor, equivalent, is_projective_vertex,
@@ -110,10 +111,10 @@ def test_translation_properties_random():
         pi = translation_permutation(d).permutation
         m = pi.as_dict()
         assert sorted(m) == list(d.i_lambda)
-        assert pi.is_involution()
+        assert is_involution(pi)
         q = build_extended(t)
         adj = {v: tuple(x for x in q.neighbours(v) if x in m) for v in m}
-        assert pi.preserves(adj)
+        assert preserves(pi, adj)
         for _, verts, _ in d.components:
             assert {m[v] for v in verts} == set(verts)
         assert sum(len(vs) for _, vs, _ in d.components) == len(d.i_lambda)
