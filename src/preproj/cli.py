@@ -55,7 +55,7 @@ def _weight_for(t: ExtDynkinType, text: str | None) -> Weight:
 # subcommands
 
 
-def cmd_decompose(args) -> tuple[int, str]:
+def cmd_decompose(args) -> tuple[int, dict, list[str]]:
     t = _require_extended(parse_type(args.type))
     w = _weight_for(t, args.weights)
     wc = classify_weight(t, w)
@@ -73,8 +73,6 @@ def cmd_decompose(args) -> tuple[int, str]:
         "descriptor": list(descriptor(d).types),
         "translation": {str(v): img for v, img in sorted(pi.items())},
     }
-    if args.format == "json":
-        return 0, to_json(data)
     lines = [f"type {t}  weights {format_weight(w)}",
              "class: " + ", ".join(k for k, v in data["class"].items() if v),
              f"I_lambda = {data['i_lambda']}"]
@@ -82,10 +80,10 @@ def cmd_decompose(args) -> tuple[int, str]:
         lines.append(f"  component {comp['type']} on vertices {comp['vertices']}")
     lines.append("descriptor " + "[" + ",".join(data["descriptor"]) + "]")
     lines.append("translation " + " ".join(f"{v}->{img}" for v, img in sorted(pi.items())))
-    return 0, "\n".join(lines)
+    return 0, data, lines
 
 
-def cmd_knit(args) -> tuple[int, str]:
+def cmd_knit(args) -> tuple[int, dict, list[str]]:
     t = _require_extended(parse_type(args.type))
     s = args.S
     r = knit(t, s, args.target)
@@ -97,7 +95,6 @@ def cmd_knit(args) -> tuple[int, str]:
         "multiplicities": {str(j): a for j, a in sorted(r.multiplicities.items())},
         "pattern": [list(cell) for cell in r.pattern.sparse()],
     }
-    extracted = None
     if args.maps:
         extracted = extract_maps(r)
         data["maps"] = {
@@ -107,23 +104,22 @@ def cmd_knit(args) -> tuple[int, str]:
             "certificates": [_cert_record(c) for c in extracted.report.certificates]
                             if extracted.resolved else None,
         }
-    if args.format == "json":
-        return 0, to_json(data)
     lines = [f"type {t}  S {sorted(s)}  target {r.target}",
              f"kernel vertex {r.kernel}",
              "multiplicities " + " ".join(f"V{j}^{a}" for j, a in sorted(r.multiplicities.items()) if a)]
     if args.ascii:
         lines.append(render_pattern(r.pattern))
-    if extracted is not None:
-        if extracted.resolved:
-            lines.append("psi: " + " | ".join(format_element(x) for x in extracted.psi))
-            lines.append("phi: " + " | ".join(format_element(x) for x in extracted.phi))
+    if args.maps:
+        maps = data["maps"]
+        if maps["resolved"]:
+            lines.append("psi: " + " | ".join(maps["psi"]))
+            lines.append("phi: " + " | ".join(maps["phi"]))
         else:
             lines.append("maps unresolved: no certified psi/phi pair")
-    return 0, "\n".join(lines)
+    return 0, data, lines
 
 
-def cmd_dims(args) -> tuple[int, str]:
+def cmd_dims(args) -> tuple[int, dict, list[str]]:
     t = parse_type(args.type)
     if isinstance(t, ExtDynkinType):
         raise DomainError("dims expects a Dynkin type like D4 (no ~ prefix)")
@@ -132,44 +128,38 @@ def cmd_dims(args) -> tuple[int, str]:
     data = {"type": str(t), "graded_dims": list(dims), "total": total,
             "hom_matrix": [list(r) for r in h],
             "vertex_dims": [sum(r) for r in h]}
-    if args.format == "json":
-        return 0, to_json(data)
     lines = [f"dim Pi({t}) = {total}",
              "graded dims " + " ".join(str(d) for d in dims),
              "dim U_i     " + " ".join(str(d) for d in data["vertex_dims"]),
              "hom matrix:"]
     for row in h:
         lines.append("  " + " ".join(f"{x:4d}" for x in row))
-    return 0, "\n".join(lines)
+    return 0, data, lines
 
 
-def cmd_intersect(args) -> tuple[int, str]:
+def cmd_intersect(args) -> tuple[int, dict, list[str]]:
     t = _require_extended(parse_type(args.type))
     g = intersection_matrix(t)
     data = {"type": str(t), "vertices": list(g.vertices),
             "gamma": [list(r) for r in g.entries]}
-    if args.format == "json":
-        return 0, to_json(data)
     lines = [f"intersection matrix of {t} on vertices {list(g.vertices)} (equals -C):"]
     for row in g.entries:
         lines.append("  " + " ".join(f"{x:3d}" for x in row))
-    return 0, "\n".join(lines)
+    return 0, data, lines
 
 
-def cmd_resolve(args) -> tuple[int, str]:
+def cmd_resolve(args) -> tuple[int, dict, list[str]]:
     t = _require_extended(parse_type(args.type))
     res = smooth_resolution(t)
     data = {"type": str(t), "mu": format_weight(res.mu),
             "reflections": list(res.reflections),
             "gamma": [list(r) for r in res.gamma.entries]}
-    if args.format == "json":
-        return 0, to_json(data)
-    return 0, (f"mu = {format_weight(res.mu)}\n"
-               f"reflections (apply left to right from eps_0): {list(res.reflections)}\n"
-               f"gamma = -C confirmed on vertices {list(res.gamma.vertices)}")
+    return 0, data, [f"mu = {data['mu']}",
+                     f"reflections (apply left to right from eps_0): {data['reflections']}",
+                     f"gamma = -C confirmed on vertices {list(res.gamma.vertices)}"]
 
 
-def cmd_presentation(args) -> tuple[int, str]:
+def cmd_presentation(args) -> tuple[int, dict, list[str]]:
     t = _require_extended(parse_type(args.type))
     if t.family != "A":
         raise DomainError("presentation is defined for type ~A only")
@@ -178,12 +168,9 @@ def cmd_presentation(args) -> tuple[int, str]:
     data = {"n": p.n, "shift": format_field_elem(p.shift),
             "xy": [format_field_elem(c) for c in p.xy],
             "yx": [format_field_elem(c) for c in p.yx]}
-    if args.format == "json":
-        return 0, to_json(data)
-    return 0, "\n".join([
-        f"xz = (z + {data['shift']}) x,  yz = (z - {data['shift']}) y",
-        "xy coefficients (ascending): " + " ".join(data["xy"]),
-        "yx coefficients (ascending): " + " ".join(data["yx"])])
+    return 0, data, [f"xz = (z + {data['shift']}) x,  yz = (z - {data['shift']}) y",
+                     "xy coefficients (ascending): " + " ".join(data["xy"]),
+                     "yx coefficients (ascending): " + " ".join(data["yx"])]
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +243,25 @@ def _suite_intersection() -> list[tuple[str, bool, str]]:
         try:
             intersection_matrix(t)
             out.append((f"intersection-{str(t)[1:]}", True, "gamma = -C"))
-        except Exception as exc:
+        except (DomainError, InternalInconsistency) as exc:
             out.append((f"intersection-{str(t)[1:]}", False, str(exc)))
     return out
 
 
-def cmd_verify(args) -> tuple[int, str]:
-    suites = {"dims": lambda: _suite_dims(),
-              "knitting": lambda: _suite_knitting(),
-              "maps": lambda: _suite_maps(args.cap),
-              "intersection": lambda: _suite_intersection()}
+def cmd_verify(args) -> tuple[int, dict, list[str]]:
+    suites = {"dims": _suite_dims, "knitting": _suite_knitting,
+              "maps": lambda: _suite_maps(args.cap), "intersection": _suite_intersection}
     scopes = list(suites) if args.suite == "all" else [args.suite]
     results: list[tuple[str, bool, str]] = []
     for scope in scopes:
         results.extend(suites[scope]())
     results.sort(key=lambda r: r[0])
-    lines = [f"{'PASS' if ok else 'FAIL'} {fid}: {msg}" for fid, ok, msg in results]
     failures = sum(1 for _, ok, _ in results if not ok)
-    lines.append(f"{len(results) - failures}/{len(results)} fixtures passed")
-    if args.format == "json":
-        data = {"results": [{"id": fid, "ok": ok, "detail": msg}
-                            for fid, ok, msg in results],
-                "passed": len(results) - failures, "failed": failures}
-        return (0 if failures == 0 else 1), to_json(data)
-    return (0 if failures == 0 else 1), "\n".join(lines)
+    data = {"results": [{"id": fid, "ok": ok, "detail": msg} for fid, ok, msg in results],
+            "passed": len(results) - failures, "failed": failures}
+    lines = [f"{'PASS' if ok else 'FAIL'} {fid}: {msg}" for fid, ok, msg in results]
+    lines.append(f"{data['passed']}/{len(results)} fixtures passed")
+    return (1 if failures else 0), data, lines
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +328,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> tuple[int, str]:
-    """Parse and run; returns (exit code, output)."""
+    """Parse, run and render; returns (exit code, output).
+
+    Each subcommand returns (code, data, lines); the output is the
+    canonical JSON of data under --format json and the lines otherwise.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
     try:
-        return args.func(args)
+        code, data, lines = args.func(args)
     except DomainError as exc:
         return 1, f"error: {exc}"
     except InternalInconsistency as exc:
         return 1, f"internal inconsistency: {exc}"
+    return code, to_json(data) if args.format == "json" else "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:

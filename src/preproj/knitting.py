@@ -294,8 +294,8 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     for k in range(len(phi)):
         sign = -1 if _leading(phi[k]) * scale < 0 else 1
         psi[k], phi[k] = psi[k].scale(sign), phi[k].scale(scale * sign)
-    if not model.is_zero(PathElement.sum(multiply(x, y) for x, y in zip(psi, phi))):
-        raise InternalInconsistency("a nullspace vector of psi.phi does not vanish")
     report = verify_zero_product(r.type, w0, [psi], [[x] for x in phi])
+    if not report.ok:
+        raise InternalInconsistency("a nullspace vector of psi.phi does not vanish")
     return ExtractedMaps(r, summands, tuple(psi), tuple(phi), True, report)
 

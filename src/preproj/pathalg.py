@@ -379,7 +379,7 @@ class QuotientModel:
         if not x:
             return []
         self.extend_to(x.degree)
-        if self.nf(x):
+        if not self.is_zero(x):
             return None
         cert: dict[tuple[Path, int, Path], FieldElem] = {}
         work: dict[tuple[Arrow, ...], dict[Path, FieldElem]] = {(): dict(x.terms)}
@@ -545,11 +545,8 @@ def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[dict],
 # ---------------------------------------------------------------------------
 # model cache and public operations
 
+# keyed by (t, weight entries 0..n) for extended and by (t,) for Dynkin types
 _MODELS: dict[tuple, QuotientModel] = {}
-
-
-def _weight_key(weight: dict[int, FieldElem]) -> tuple:
-    return tuple(sorted((v, x.re, x.im) for v, x in weight.items() if x))
 
 
 def _graded_model(q: LabelledDoubleQuiver) -> QuotientModel:
@@ -560,15 +557,14 @@ def _graded_model(q: LabelledDoubleQuiver) -> QuotientModel:
 
 
 def model_for(t: ExtDynkinType, w: Weight) -> QuotientModel:
-    weight = {i: FieldElem.of(w[i]) for i in range(t.n + 1)}
-    key = ("ext", str(t), _weight_key(weight))
+    key = (t, tuple(FieldElem.of(w[i]) for i in range(t.n + 1)))
     if key not in _MODELS:
-        _MODELS[key] = QuotientModel(build_extended(t), weight)
+        _MODELS[key] = QuotientModel(build_extended(t), dict(enumerate(key[1])))
     return _MODELS[key]
 
 
 def model_for_dynkin(t: DynkinType) -> QuotientModel:
-    key = ("dyn", str(t))
+    key = (t,)
     if key not in _MODELS:
         _MODELS[key] = QuotientModel(build_dynkin(t), {})
     return _MODELS[key]

@@ -228,30 +228,33 @@ def is_quasi_dominant(t: ExtDynkinType, w: Weight) -> bool:
     return all(w[i] >= ZERO for i in range(1, t.n + 1))
 
 
-# per type, the nonzero entries (j, C~_ij) of each row i of the extended Cartan matrix
-_CARTAN_ROWS: dict[ExtDynkinType, tuple[tuple[tuple[int, int], ...], ...]] = {}
+# per type, the neighbours of each vertex 0..n
+_NEIGHBOURS: dict[ExtDynkinType, tuple[tuple[int, ...], ...]] = {}
 
 
-def _cartan_rows(t: ExtDynkinType) -> tuple[tuple[tuple[int, int], ...], ...]:
-    rows = _CARTAN_ROWS.get(t)
-    if rows is None:
-        rows = _CARTAN_ROWS[t] = tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                                       for row in cartan(t).cartan_ext)
-    return rows
+def _neighbours(t: ExtDynkinType) -> tuple[tuple[int, ...], ...]:
+    nbrs = _NEIGHBOURS.get(t)
+    if nbrs is None:
+        nbrs = _NEIGHBOURS[t] = tuple(tuple(j for j, a in enumerate(row) if a)
+                                      for row in cartan(t).adjacency)
+    return nbrs
 
 
 def dual_reflection(t: ExtDynkinType, w: Weight, i: int) -> Weight:
     """r_i(w)_j = w_j - C~_{ij} w_i; preserves w . delta and the lattice.
 
-    Only w_i and its neighbours change; every other entry is kept as it is.
+    Every edge of a supported type is simple (C~_ij is -1 for a neighbour
+    j), so w_i is negated, w_i is added to each neighbour, and every other
+    entry is kept as it is.
     """
     _check_length(t, w)
     if not 0 <= i <= t.n:
         raise DomainError(f"vertex {i} out of range for {t}")
     entries = list(w.entries)
     wi = entries[i]
-    for j, c in _cartan_rows(t)[i]:
-        entries[j] = entries[j] - wi * c
+    entries[i] = -wi
+    for j in _neighbours(t)[i]:
+        entries[j] = entries[j] + wi
     return Weight(tuple(entries))
 
 
@@ -313,12 +316,6 @@ def quasi_dominantize(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
     """
     _check_length(t, w)
     return _fire(t, w, range(1, t.n + 1))
-
-
-def schedler_configuration(t: ExtDynkinType) -> Weight:
-    """(1 - sum_{i>=1} delta_i, 1, 1, ..., 1)."""
-    d = delta_vector(t)
-    return Weight.of([1 - sum(d[1:])] + [1] * t.n)
 
 
 def numbers_game(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:

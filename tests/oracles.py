@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to freeze expected test values,
 the seeded input generator of the parser fuzz tests, and the helpers only
-tests need: parsing printed elements and checking vertex permutations.
+tests need: parsing printed elements, checking vertex permutations and the
+Schedler configuration.
 
 Everything here works from first principles (path enumeration, span ranks
 over exact rationals) and never calls the layered engine it checks.
@@ -10,9 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from preproj.dynkin import Arrow, build_extended
+from preproj.dynkin import Arrow, build_extended, delta_vector
 from preproj.pathalg import Path, PathElement, multiply, parse_path, trivial_path
-from preproj.weights import FieldElem, ONE, ZERO
+from preproj.weights import FieldElem, ONE, Weight, ZERO
 
 
 def paths_by_degree(quiver, maxdeg):
@@ -232,6 +233,12 @@ def poly_shift(coeffs, shift):
         out = _poly_mul(out, [shift, ONE])
         out[0] = out[0] + c
     return tuple(out[: len(coeffs)])
+
+
+def schedler_configuration(t) -> Weight:
+    """(1 - sum_{i>=1} delta_i, 1, 1, ..., 1)."""
+    d = delta_vector(t)
+    return Weight.of([1 - sum(d[1:])] + [1] * t.n)
 
 
 # the slots of "a + b i", each filled with a valid choice or a near miss

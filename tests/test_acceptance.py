@@ -8,7 +8,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from oracles import is_involution, preserves
+from oracles import is_involution, preserves, schedler_configuration
 from preproj.dynkin import DynkinType, ExtDynkinType, build_extended
 from preproj.fixtures import (H_E, MAP_FIXTURES, erdmann_a_entry,
                               golden_knit_fixtures, worked_example_fixtures)
@@ -21,7 +21,7 @@ from preproj.singularity import (descriptor, equivalent, q_lambda_decompose,
 from preproj.typea import presentation
 from preproj.weights import (FieldElem, ONE, Weight, ZERO, apply_reflections,
                              dot_delta, epsilon0, numbers_game,
-                             resolve_to_smooth, schedler_configuration)
+                             resolve_to_smooth)
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]

@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from oracles import fuzz_argv, fuzz_text, parse_element
 from preproj import cli
 from preproj.cli import dispatch, main, to_json
@@ -106,6 +108,28 @@ def test_internal_inconsistency_is_reported(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err == "internal inconsistency: gamma differs from -C\n"
+
+
+def test_verify_intersection_propagates_programming_errors(monkeypatch):
+    def broken(t):
+        raise TypeError("not a domain error")
+
+    monkeypatch.setattr(cli, "intersection_matrix", broken)
+    with pytest.raises(TypeError, match="not a domain error"):
+        dispatch(["verify", "--suite", "intersection"])
+
+
+def test_verify_intersection_reports_inconsistency_as_fail(monkeypatch):
+    def broken(t):
+        raise InternalInconsistency("gamma differs from -C")
+
+    monkeypatch.setattr(cli, "intersection_matrix", broken)
+    code, out = dispatch(["verify", "--suite", "intersection"])
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "FAIL intersection-A2: gamma differs from -C"
+    assert all(line.startswith("FAIL") for line in lines[:-1])
+    assert lines[-1] == f"0/{len(lines) - 1} fixtures passed"
 
 
 # sha256 of `verify --suite maps --format json`; the output carries every

@@ -4,12 +4,13 @@ from collections import Counter
 import pytest
 
 from oracles import parse_element
+from preproj import knitting
 from preproj.dynkin import ExtDynkinType, build_extended
-from preproj.errors import DomainError
+from preproj.errors import DomainError, InternalInconsistency
 from preproj.fixtures import golden_knit_fixtures, worked_example_fixtures
 from preproj.knitting import extract_maps, knit, render_pattern
-from preproj.pathalg import (MembershipCertificate, check_certificate, eliminate,
-                             format_element, ideal_member, model_for)
+from preproj.pathalg import (MembershipCertificate, ZeroProductReport, check_certificate,
+                             eliminate, format_element, ideal_member, model_for)
 from preproj.weights import ONE, ZERO, FieldElem, Weight
 
 
@@ -115,6 +116,16 @@ def test_extract_maps_worked_example():
     assert m.report is not None and m.report.ok
     for cert in m.report.certificates:
         assert check_certificate(r.type, cert)
+
+
+def test_extract_maps_raises_when_the_product_is_not_certified(monkeypatch):
+    # the certificate is the one judge of psi.phi = 0; a failing report is a
+    # theory violation, never a resolved pair
+    r = knit(ExtDynkinType("D", 5), {0, 5}, 4)
+    monkeypatch.setattr(knitting, "verify_zero_product",
+                        lambda *args, **kwargs: ZeroProductReport(False, ()))
+    with pytest.raises(InternalInconsistency, match="does not vanish"):
+        extract_maps(r)
 
 
 def test_extract_maps_second_worked_example():

@@ -354,8 +354,24 @@ def test_deformed_models_share_the_weight0_elimination():
         assert m.graded is m0
         assert m.basis is m0.basis and m.rows is m0.rows and m.echelon is m0.echelon
         assert all(m.layers[d] is m0.layers[d] for d in range(m.max_degree() + 1))
-    zero_models = [k for k in pathalg._MODELS if k[:2] == ("ext", str(t)) and not k[2]]
-    assert zero_models == [("ext", str(t), ())]
+    zero_models = [k for k in pathalg._MODELS if k[0] == t and not any(k[1])]
+    assert zero_models == [(t, (ZERO,) * 6)]
+
+
+def test_model_for_keys_by_the_coerced_weight():
+    t = ExtDynkinType("A", 3)
+    halves = [model_for(t, Weight.of([half, 0, 0, 1]))
+              for half in ("1/2", Fraction(1, 2), FieldElem.of("1/2"))]
+    assert halves[0] is halves[1] is halves[2]
+    zeros = [model_for(t, Weight.of([0, zero, 0, 0])) for zero in (0, "0", "0/5")]
+    assert zeros[0] is zeros[1] is zeros[2] is model_for(t, Weight.of([0] * 4))
+    assert halves[0] is not zeros[0]
+
+
+def test_model_for_dynkin_is_one_model_per_type():
+    d4 = pathalg.model_for_dynkin(DynkinType("D", 4))
+    assert pathalg.model_for_dynkin(DynkinType("D", 4)) is d4
+    assert pathalg.model_for_dynkin(DynkinType("D", 5)) is not d4
 
 
 @pytest.mark.parametrize("t", [ExtDynkinType("A", 2), ExtDynkinType("A", 3),

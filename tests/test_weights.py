@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fuzz_text
+from oracles import fuzz_text, schedler_configuration
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
 from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
@@ -13,8 +13,7 @@ from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
                              dual_reflection, epsilon0, format_field_elem,
                              format_weight, is_quasi_dominant, numbers_game,
                              parse_field_elem, parse_weight,
-                             quasi_dominantize, resolve_to_smooth,
-                             schedler_configuration)
+                             quasi_dominantize, resolve_to_smooth)
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
