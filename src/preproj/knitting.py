@@ -52,12 +52,13 @@ class RepetitionQuiver:
 
 
 @dataclass(frozen=True)
-class Pattern:
-    """A completed knitting diagram.
+class KnitResult:
+    """The sequence 0 -> V_kernel -> sum_j V_j^(a_j) -> V_target -> 0 and
+    the completed knitting diagram it is read from.
 
     ``values[(col, vertex)]`` holds the integer entries (column 1 is the
     rightmost); circled cells are occurrences of S-vertices, the single
-    boxed cell holds the starting 1.
+    boxed cell holds the starting 1 and the kernel cell the single -1.
     """
 
     type: ExtDynkinType
@@ -66,6 +67,11 @@ class Pattern:
     values: dict[tuple[int, int], int]
     boxed: tuple[int, int]
     kernel_cell: tuple[int, int]
+    multiplicities: dict[int, int]
+
+    @property
+    def kernel(self) -> int:
+        return self.kernel_cell[1]
 
     def columns(self) -> int:
         return max(c for c, _ in self.values)
@@ -84,18 +90,6 @@ class Pattern:
             out.append((c, v, val, flags))
         return out
 
-
-@dataclass(frozen=True)
-class KnitResult:
-    """Data of the sequence 0 -> V_kernel -> sum_j V_j^(a_j) -> V_target -> 0."""
-
-    type: ExtDynkinType
-    s_vertices: frozenset[int]
-    target: int
-    kernel: int
-    multiplicities: dict[int, int]
-    pattern: Pattern
-
     def middle_multiset(self) -> tuple[int, ...]:
         out: list[int] = []
         for j in sorted(self.multiplicities):
@@ -108,7 +102,8 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
 
     Columns fill right to left; the value at (col+1, k) is the sum over
     uncircled neighbours in col minus the uncircled value at (col-1, k);
-    the run stops when a -1 appears.
+    the run stops when a -1 appears.  A value never changes once written
+    and the seeded cells are 0 or 1, so each is checked as it is written.
     """
     rq = RepetitionQuiver(t)
     s = frozenset(int(v) for v in s_vertices)
@@ -147,8 +142,8 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
             values[(col, k)] = total
             if total == -1:
                 kernel_cell = (col, k)
-        if any(val < -1 for val in values.values()):
-            raise InternalInconsistency("knitting placed a value below -1")
+            elif total < -1:
+                raise InternalInconsistency("knitting placed a value below -1")
 
     minus_ones = [cell for cell, val in values.items() if val == -1]
     if len(minus_ones) != 1:
@@ -159,31 +154,27 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
             mult[v] += val
     if any(a < 0 for a in mult.values()):
         raise InternalInconsistency("negative middle multiplicity")
-    kernel = kernel_cell[1]
-    if kernel in s:
+    if kernel_cell[1] in s:
         raise InternalInconsistency("kernel vertex landed in S")
-    pattern = Pattern(t, s, target, values, (start_col, target), kernel_cell)
-    return KnitResult(t, s, target, kernel, mult, pattern)
+    return KnitResult(t, s, target, values, (start_col, target), kernel_cell, mult)
 
 
-def render_pattern(p: Pattern | None) -> str:
+def render_pattern(r: KnitResult) -> str:
     """Monospace grid, rightmost column first; (v) circled, [v] boxed."""
-    if p is None or not p.values:
-        return ""
-    ncols = p.columns()
-    verts = sorted({v for _, v in p.values})
-    width = max(len(str(val)) for val in p.values.values()) + 2
+    ncols = r.columns()
+    verts = sorted({v for _, v in r.values})
+    width = max(len(str(val)) for val in r.values.values()) + 2
     lines = []
     for v in verts:
         cells = []
         for col in range(ncols, 0, -1):
-            if (col, v) not in p.values:
+            if (col, v) not in r.values:
                 cells.append(" " * width)
                 continue
-            val = str(p.values[(col, v)])
-            if (col, v) == p.boxed:
+            val = str(r.values[(col, v)])
+            if (col, v) == r.boxed:
                 val = f"[{val}]"
-            elif p.is_circled(col, v):
+            elif r.is_circled(col, v):
                 val = f"({val})"
             cells.append(val.rjust(width))
         lines.append(f"v{v} |" + "".join(cells))
@@ -200,15 +191,13 @@ class ExtractedMaps:
     product was certified; otherwise psi and phi are None.
     """
 
-    result: KnitResult
-    summands: tuple[tuple[int, int], ...]
     psi: tuple[PathElement, ...] | None
     phi: tuple[PathElement, ...] | None
     resolved: bool
     report: ZeroProductReport | None = None
 
 
-def _pattern_walk(p: Pattern, rq: RepetitionQuiver, start: tuple[int, int],
+def _pattern_walk(r: KnitResult, rq: RepetitionQuiver, start: tuple[int, int],
                   end: tuple[int, int]) -> Path:
     """The first rightward pattern walk, depth first, from start to end
     through nonzero uncircled cells."""
@@ -221,7 +210,7 @@ def _pattern_walk(p: Pattern, rq: RepetitionQuiver, start: tuple[int, int],
             return None
         for u in rq.quiver.neighbours(v):
             nxt = (col - 1, u)
-            if nxt != end and (p.values.get(nxt, 0) == 0 or u in p.s_vertices):
+            if nxt != end and (r.values.get(nxt, 0) == 0 or u in r.s_vertices):
                 continue
             if nxt[0] < end[0] or (nxt[0] == end[0] and u != end[1]):
                 continue
@@ -259,20 +248,19 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     negated, and the product is certified.
     """
     rq = RepetitionQuiver(r.type)
-    p = r.pattern
-    summands = tuple(sorted((cell for cell, val in p.values.items()
+    summands = tuple(sorted((cell for cell, val in r.values.items()
                              if val == 1 and cell[1] in r.s_vertices),
                             key=lambda cell: (cell[1], cell[0])))
     if sum(r.multiplicities.values()) != len(summands):
-        return ExtractedMaps(r, summands, None, None, False)
+        return ExtractedMaps(None, None, False)
 
     w0 = Weight.of([0] * (r.type.n + 1))
     model = model_for(r.type, w0)
-    kcol, kvert = p.kernel_cell
+    kcol, kvert = r.kernel_cell
     psi: list[PathElement] = []
     unknowns: list[tuple[int, Path]] = []
     for k, cell in enumerate(summands):
-        psi.append(PathElement.of_path(_reverse_path(_pattern_walk(p, rq, cell, p.boxed))))
+        psi.append(PathElement.of_path(_reverse_path(_pattern_walk(r, rq, cell, r.boxed))))
         length = kcol - cell[0]
         model.extend_to(length)
         for bid in model.layers[length]:
@@ -282,13 +270,13 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
     _, _, solutions = eliminate(columns)
     if len(solutions) != 1:
-        return ExtractedMaps(r, summands, None, None, False)
+        return ExtractedMaps(None, None, False)
     terms: list[dict[Path, FieldElem]] = [{} for _ in summands]
     for j, (k, rep) in enumerate(unknowns):
         if j in solutions[0]:
             terms[k][rep] = solutions[0][j]
     if not all(terms):
-        return ExtractedMaps(r, summands, None, None, False)
+        return ExtractedMaps(None, None, False)
     phi = [PathElement(t) for t in terms]
     scale = ONE / _leading(phi[0])
     for k in range(len(phi)):
@@ -297,5 +285,5 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     report = verify_zero_product(r.type, w0, [psi], [[x] for x in phi])
     if not report.ok:
         raise InternalInconsistency("a nullspace vector of psi.phi does not vanish")
-    return ExtractedMaps(r, summands, tuple(psi), tuple(phi), True, report)
+    return ExtractedMaps(tuple(psi), tuple(phi), True, report)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .dynkin import (Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver,
                      build_dynkin, build_extended)
 from .errors import DomainError, InternalInconsistency
-from .weights import FieldElem, Weight, ZERO, ONE
+from .weights import FieldElem, Weight, ZERO, ONE, _check_length
 
 # ---------------------------------------------------------------------------
 # paths and path elements
@@ -100,10 +100,6 @@ class PathElement:
     @staticmethod
     def zero() -> "PathElement":
         return PathElement({})
-
-    @staticmethod
-    def unit(v: int) -> "PathElement":
-        return PathElement({trivial_path(v): ONE})
 
     @staticmethod
     def of_path(p: Path, coef=1) -> "PathElement":
@@ -557,6 +553,7 @@ def _graded_model(q: LabelledDoubleQuiver) -> QuotientModel:
 
 
 def model_for(t: ExtDynkinType, w: Weight) -> QuotientModel:
+    _check_length(t, w)
     key = (t, tuple(FieldElem.of(w[i]) for i in range(t.n + 1)))
     if key not in _MODELS:
         _MODELS[key] = QuotientModel(build_extended(t), dict(enumerate(key[1])))
@@ -603,40 +600,24 @@ def hom_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
 class MembershipCertificate:
     """x = sum_k coef_k * (left_k rho_{v_k} right_k) in the free algebra."""
 
-    quiver_label: str
     weight: Weight
     element: PathElement
     terms: tuple[tuple[FieldElem, Path, int, Path], ...]
 
 
-@dataclass(frozen=True)
-class MembershipNotFound:
-    quiver_label: str
-    element: PathElement
-
-
-def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement):
-    """Decide membership of x in the Pi^lambda relation ideal with a
-    certificate; the layered engine is complete, so no cap is needed."""
+def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement) -> MembershipCertificate | None:
+    """A certificate that x lies in the Pi^lambda relation ideal, or None
+    when it does not; the layered engine is complete, so no cap is needed."""
     terms = model_for(t, w).certificate(x)
-    if terms is None:
-        return MembershipNotFound(str(t), x)
-    return MembershipCertificate(str(t), w, x, tuple(terms))
-
-
-def expand_certificate(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
-                       terms) -> PathElement:
-    """Free-algebra expansion of certificate terms; no linear algebra."""
-    rels = relation_set(q, weight)
-    return PathElement.sum(
-        multiply(multiply(PathElement.of_path(u), rels[v]), PathElement.of_path(w)).scale(c)
-        for c, u, v, w in terms)
+    return None if terms is None else MembershipCertificate(w, x, tuple(terms))
 
 
 def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
-    q = build_extended(t)
-    weight = {i: FieldElem.of(cert.weight[i]) for i in range(t.n + 1)}
-    return expand_certificate(q, weight, cert.terms) == cert.element
+    """Expand the certificate terms in the free algebra; no linear algebra."""
+    rels = relation_set(build_extended(t), dict(enumerate(cert.weight.entries)))
+    return PathElement.sum(
+        multiply(multiply(PathElement.of_path(u), rels[v]), PathElement.of_path(w)).scale(c)
+        for c, u, v, w in cert.terms) == cert.element
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +650,7 @@ def verify_zero_product(t: ExtDynkinType, w: Weight,
                 raise DomainError(
                     f"entry ({i},{j}) has degree {entry.degree} above the cap {degree_cap}")
             res = ideal_member(t, w, entry)
-            if isinstance(res, MembershipNotFound):
+            if res is None:
                 return ZeroProductReport(False, tuple(certs), (i, j), entry)
             certs.append(res)
     return ZeroProductReport(True, tuple(certs))

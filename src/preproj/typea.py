@@ -60,11 +60,6 @@ class TypeASequence:
         n1 = self.n + 1
         return (self.i % n1, self.j % n1)
 
-    def translation_image(self, k: int) -> int:
-        if not self.i < k < self.j:
-            raise DomainError(f"vertex {k} is not interior to ({self.i}, {self.j})")
-        return self.i + self.j - k
-
 
 def type_a_sequence(n: int, w: Weight, i: int, j: int, k: int) -> TypeASequence:
     """The interior member of the sequence family: requires i < k < j and

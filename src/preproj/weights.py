@@ -293,13 +293,14 @@ CANDIDATE_MAX_ENTRY = 3
 
 
 def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[int]]:
-    """The numbers game on the given vertices: fire the smallest entry (ties
-    to the smallest index) while it is negative.  Returns the terminal
-    weight and the firing sequence.  Each caller admits only games that
-    end, so there is no step cap."""
+    """The numbers game on the given vertices: fire the smallest entry while
+    it is negative; ``min`` keeps the first of equal entries, so ties go to
+    the smallest index.  Returns the terminal weight and the firing
+    sequence.  Each caller admits only games that end, so there is no step
+    cap."""
     fired: list[int] = []
     while True:
-        i = min(vertices, key=lambda j: (w[j]._key(), j))
+        i = min(vertices, key=lambda j: w[j]._key())
         if not w[i] < ZERO:
             return w, fired
         w = dual_reflection(t, w, i)

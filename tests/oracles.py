@@ -16,6 +16,11 @@ from preproj.pathalg import Path, PathElement, multiply, parse_path, trivial_pat
 from preproj.weights import FieldElem, ONE, Weight, ZERO
 
 
+def unit(v):
+    """The trivial path at v as an element."""
+    return PathElement({trivial_path(v): ONE})
+
+
 def paths_by_degree(quiver, maxdeg):
     out = {0: [trivial_path(v) for v in quiver.vertices]}
     for d in range(1, maxdeg + 1):

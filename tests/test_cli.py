@@ -192,7 +192,7 @@ def test_knit_e7_paper_case_resolves():
     for rec in maps["certificates"]:
         terms = tuple((parse_field_elem(x["coef"]), _path_of(q, x["left"]), x["vertex"],
                        _path_of(q, x["right"])) for x in rec["terms"])
-        cert = MembershipCertificate(str(t), parse_weight(rec["weight"]),
+        cert = MembershipCertificate(parse_weight(rec["weight"]),
                                      parse_element(q, rec["element"]), terms)
         assert check_certificate(t, cert)
 

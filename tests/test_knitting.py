@@ -8,14 +8,14 @@ from preproj import knitting
 from preproj.dynkin import ExtDynkinType, build_extended
 from preproj.errors import DomainError, InternalInconsistency
 from preproj.fixtures import golden_knit_fixtures, worked_example_fixtures
-from preproj.knitting import extract_maps, knit, render_pattern
+from preproj.knitting import KnitResult, extract_maps, knit, render_pattern
 from preproj.pathalg import (MembershipCertificate, ZeroProductReport, check_certificate,
                              eliminate, format_element, ideal_member, model_for)
 from preproj.weights import ONE, ZERO, FieldElem, Weight
 
 
 def grid(result):
-    return result.pattern.values
+    return result.values
 
 
 def test_worked_example_with_two_circled_vertices():
@@ -32,7 +32,7 @@ def test_worked_example_with_two_circled_vertices():
         (6, 0): 0, (6, 1): -1, (6, 3): 0,
     }
     assert grid(r) == expected
-    assert r.pattern.boxed == (1, 4)
+    assert r.boxed == (1, 4)
 
 
 def test_worked_example_with_one_circled_vertex():
@@ -81,7 +81,7 @@ def test_golden_sequences(fixture):
 def test_pattern_invariants_on_golden_corpus():
     for f in golden_knit_fixtures()[::5]:
         r = knit(f.type, f.s_vertices, f.target)
-        values = r.pattern.values
+        values = r.values
         assert sum(1 for v in values.values() if v == -1) == 1
         assert r.kernel not in r.s_vertices
         assert all(a >= 0 for a in r.multiplicities.values())
@@ -91,17 +91,15 @@ def test_pattern_invariants_on_golden_corpus():
 
 
 def test_render_pattern():
-    assert render_pattern(None) == ""
     r = knit(ExtDynkinType("D", 5), {0, 5}, 4)
-    art = render_pattern(r.pattern)
+    art = render_pattern(r)
     assert "[1]" in art and "(1)" in art and "-1" in art
     assert len(art.splitlines()) == 6
 
 
 def test_render_single_boxed_entry():
-    from preproj.knitting import Pattern
-    p = Pattern(ExtDynkinType("D", 4), frozenset(), 4, {(1, 4): 1}, (1, 4), (1, 4))
-    art = render_pattern(p)
+    r = KnitResult(ExtDynkinType("D", 4), frozenset(), 4, {(1, 4): 1}, (1, 4), (1, 4), {})
+    art = render_pattern(r)
     assert art == "v4 |[1]"
 
 

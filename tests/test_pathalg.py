@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import (brute_filtered_member, brute_graded_dims, brute_graded_member,
-                     oracle_relations, parse_element, paths_by_degree, rank_of_rows)
+                     oracle_relations, parse_element, paths_by_degree, rank_of_rows,
+                     unit)
 from preproj import pathalg
 from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
 from preproj.errors import DomainError, InternalInconsistency
 from preproj.fixtures import (H_E, MAP_FIXTURES, dim_pi_total,
                               dim_vertex_module, erdmann_a_entry)
-from preproj.pathalg import (MembershipCertificate, MembershipNotFound,
+from preproj.pathalg import (MembershipCertificate,
                              Path, PathElement, check_certificate, format_element,
                              graded_dims_pi, hom_matrix, ideal_member,
                              model_for, multiply, parse_path,
@@ -77,8 +78,8 @@ def test_unit_multiplication():
     t = ExtDynkinType("A", 2)
     q = build_extended(t)
     a0 = PathElement.of_path(parse_path(q, "a0"))
-    assert multiply(PathElement.unit(0), a0) == a0
-    assert multiply(a0, PathElement.unit(1)) == a0
+    assert multiply(unit(0), a0) == a0
+    assert multiply(a0, unit(1)) == a0
 
 
 def test_non_composable_product_is_zero():
@@ -270,7 +271,7 @@ def test_firstses_sign_flip_not_member():
     w0 = Weight.of([0] * 5)
     f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3  +  -1 * a4.~a1.a1.~a3 : 4->3")
     res = ideal_member(t, w0, f)
-    assert isinstance(res, MembershipNotFound)
+    assert res is None
     # independent oracle: the degree-4 graded span misses this element
     assert not brute_graded_member(build_extended(t), f)
 
@@ -301,7 +302,7 @@ def test_cap_below_degree_rejected():
     t = ExtDynkinType("D", 4)
     f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3")
     with pytest.raises(DomainError):
-        verify_zero_product(t, Weight.of([0] * 5), [[f]], [[PathElement.unit(3)]],
+        verify_zero_product(t, Weight.of([0] * 5), [[f]], [[unit(3)]],
                             degree_cap=2)
 
 
@@ -314,7 +315,7 @@ def test_membership_with_nonzero_weight():
     assert isinstance(res, MembershipCertificate) and check_certificate(t, res)
     # the same element is NOT in the ideal at weight 0
     res0 = ideal_member(t, Weight.of([0] * 5), rels[0])
-    assert isinstance(res0, MembershipNotFound)
+    assert res0 is None
 
 
 @pytest.mark.parametrize("t", ALL_EXTENDED, ids=str)
@@ -366,6 +367,16 @@ def test_model_for_keys_by_the_coerced_weight():
     zeros = [model_for(t, Weight.of([0, zero, 0, 0])) for zero in (0, "0", "0/5")]
     assert zeros[0] is zeros[1] is zeros[2] is model_for(t, Weight.of([0] * 4))
     assert halves[0] is not zeros[0]
+
+
+@pytest.mark.parametrize("entries", [3, 7])
+def test_model_for_rejects_a_weight_of_the_wrong_length(entries):
+    # ~D4 has 5 vertices; a short weight must not index past its end and a
+    # long one must not be recorded in a certificate
+    t = ExtDynkinType("D", 4)
+    f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3")
+    with pytest.raises(DomainError, match=f"weight has {entries} entries but ~D4 has 5 vertices"):
+        ideal_member(t, Weight.of([0] * entries), f)
 
 
 def test_model_for_dynkin_is_one_model_per_type():
@@ -448,14 +459,14 @@ def test_verify_zero_product_identity_sanity():
     t = ExtDynkinType("D", 4)
     w0 = Weight.of([0] * 5)
     rels = relation_set(build_extended(t), dict(enumerate(w0.entries)))
-    rep = verify_zero_product(t, w0, [[rels[2]]], [[PathElement.unit(2)]])
+    rep = verify_zero_product(t, w0, [[rels[2]]], [[unit(2)]])
     assert rep.ok and len(rep.certificates) == 1
 
 
 def test_verify_zero_product_shape_check():
     t = ExtDynkinType("D", 4)
     with pytest.raises(DomainError):
-        verify_zero_product(t, Weight.of([0] * 5), [[PathElement.unit(2)]], [])
+        verify_zero_product(t, Weight.of([0] * 5), [[unit(2)]], [])
 
 
 def test_verify_zero_product_reports_failure_entry():
