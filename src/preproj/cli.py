@@ -20,7 +20,7 @@ from .pathalg import (MembershipCertificate, check_certificate, format_element,
                       graded_dims_pi, hom_matrix, verify_zero_product)
 from .singularity import descriptor, q_lambda_decompose, translation_permutation
 from .typea import presentation
-from .weights import (Weight, classify_weight, format_field_elem,
+from .weights import (Weight, _check_length, classify_weight, format_field_elem,
                       format_weight, parse_weight)
 
 
@@ -48,7 +48,9 @@ def _require_extended(t) -> ExtDynkinType:
 def _weight_for(t: ExtDynkinType, text: str | None) -> Weight:
     if text is None:
         raise DomainError("--weights is required for this command")
-    return parse_weight(text, t.n + 1)
+    w = parse_weight(text)
+    _check_length(t, w)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +98,15 @@ def cmd_knit(args) -> tuple[int, dict, list[str]]:
         "pattern": [list(cell) for cell in r.sparse()],
     }
     if args.maps:
-        extracted = extract_maps(r)
-        data["maps"] = {
-            "resolved": extracted.resolved,
-            "psi": [format_element(x) for x in extracted.psi] if extracted.resolved else None,
-            "phi": [format_element(x) for x in extracted.phi] if extracted.resolved else None,
-            "certificates": [_cert_record(c) for c in extracted.report.certificates]
-                            if extracted.resolved else None,
-        }
+        m = extract_maps(r)
+        data["maps"] = {"resolved": False, "psi": None, "phi": None, "certificates": None}
+        if m.resolved:
+            data["maps"] = {
+                "resolved": True,
+                "psi": [format_element(x) for x in m.psi],
+                "phi": [format_element(x) for x in m.phi],
+                "certificates": [_cert_record(c) for c in m.report.certificates],
+            }
     lines = [f"type {t}  S {sorted(s)}  target {r.target}",
              f"kernel vertex {r.kernel}",
              "multiplicities " + " ".join(f"V{j}^{a}" for j, a in sorted(r.multiplicities.items()) if a)]

@@ -186,15 +186,18 @@ class ExtractedMaps:
     """Maps for the knitted sequence; entries are Hom-space elements.
 
     psi[k]: V_{j_k} -> V_target and phi[k]: V_kernel -> V_{j_k}, indexed by
-    the circled 1-cells of the pattern.  ``resolved`` says the phi with
-    psi.phi = 0 is unique up to scale, has every entry nonzero, and the
-    product was certified; otherwise psi and phi are None.
+    the circled 1-cells of the pattern.  The maps are resolved when the phi
+    with psi.phi = 0 is unique up to scale, has every entry nonzero, and the
+    product was certified; otherwise psi, phi and report are None.
     """
 
     psi: tuple[PathElement, ...] | None
     phi: tuple[PathElement, ...] | None
-    resolved: bool
-    report: ZeroProductReport | None = None
+    report: ZeroProductReport | None
+
+    @property
+    def resolved(self) -> bool:
+        return self.psi is not None
 
 
 def _pattern_walk(r: KnitResult, rq: RepetitionQuiver, start: tuple[int, int],
@@ -252,7 +255,7 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
                              if val == 1 and cell[1] in r.s_vertices),
                             key=lambda cell: (cell[1], cell[0])))
     if sum(r.multiplicities.values()) != len(summands):
-        return ExtractedMaps(None, None, False)
+        return ExtractedMaps(None, None, None)
 
     w0 = Weight.of([0] * (r.type.n + 1))
     model = model_for(r.type, w0)
@@ -270,13 +273,13 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
     _, _, solutions = eliminate(columns)
     if len(solutions) != 1:
-        return ExtractedMaps(None, None, False)
+        return ExtractedMaps(None, None, None)
     terms: list[dict[Path, FieldElem]] = [{} for _ in summands]
     for j, (k, rep) in enumerate(unknowns):
         if j in solutions[0]:
             terms[k][rep] = solutions[0][j]
     if not all(terms):
-        return ExtractedMaps(None, None, False)
+        return ExtractedMaps(None, None, None)
     phi = [PathElement(t) for t in terms]
     scale = ONE / _leading(phi[0])
     for k in range(len(phi)):
@@ -285,5 +288,5 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     report = verify_zero_product(r.type, w0, [psi], [[x] for x in phi])
     if not report.ok:
         raise InternalInconsistency("a nullspace vector of psi.phi does not vanish")
-    return ExtractedMaps(tuple(psi), tuple(phi), True, report)
+    return ExtractedMaps(tuple(psi), tuple(phi), report)
 

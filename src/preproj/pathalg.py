@@ -16,7 +16,7 @@ basis, rows and provenance and solves only for the tails below each layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dynkin import (Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver,
                      build_dynkin, build_extended)
@@ -27,29 +27,42 @@ from .weights import FieldElem, Weight, ZERO, ONE, _check_length
 # paths and path elements
 
 
-@dataclass(frozen=True)
 class Path:
-    """A composable arrow sequence, read left to right; () is trivial."""
+    """An immutable composable arrow sequence, read left to right; () is
+    trivial.
 
-    source: int
-    arrows: tuple[Arrow, ...]
-    # paths key every table of a model, so the hash is computed once
-    _hash: int = field(init=False, repr=False, compare=False)
+    The public constructor walks the arrows and raises DomainError where
+    one does not compose.  ``then`` and ``concat`` extend a valid path by an
+    arrow or a valid path, so they check only the join and build the result
+    with the trusted ``_path``.  The target and the hash are stored: paths
+    key every table of a model.  The hash folds in one arrow id at a time,
+    so an extension extends its prefix's hash."""
 
-    def __post_init__(self) -> None:
-        at = self.source
-        for a in self.arrows:
+    __slots__ = ("source", "arrows", "target", "_hash")
+
+    def __init__(self, source: int, arrows: tuple[Arrow, ...]):
+        at, h = source, source
+        for a in arrows:
             if a.tail != at:
                 raise DomainError(f"arrow {a.name} does not compose at vertex {at}")
-            at = a.head
-        object.__setattr__(self, "_hash", hash((self.source, self.arrows)))
+            at, h = a.head, hash((h, a.id))
+        _set_path(self, source, arrows, at, h)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"paths are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Path, (self.source, self.arrows))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.source == other.source and self.arrows == other.arrows
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def target(self) -> int:
-        return self.arrows[-1].head if self.arrows else self.source
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -57,16 +70,43 @@ class Path:
     def concat(self, other: "Path") -> "Path":
         if self.target != other.source:
             raise DomainError("paths do not compose")
-        return Path(self.source, self.arrows + other.arrows)
+        h = self._hash
+        for a in other.arrows:
+            h = hash((h, a.id))
+        return _path(self.source, self.arrows + other.arrows, other.target, h)
 
     def then(self, a: Arrow) -> "Path":
-        return Path(self.source, self.arrows + (a,))
+        if a.tail != self.target:
+            raise DomainError(f"arrow {a.name} does not compose at vertex {self.target}")
+        return _path(self.source, self.arrows + (a,), a.head, hash((self._hash, a.id)))
 
     def name(self) -> str:
         return ".".join(a.name for a in self.arrows) if self.arrows else "e"
 
     def __str__(self) -> str:
         return f"{self.name()}:{self.source}->{self.target}"
+
+    def __repr__(self) -> str:
+        return f"Path(source={self.source!r}, arrows={self.arrows!r})"
+
+
+_PATH_SLOTS = tuple(getattr(Path, s).__set__ for s in Path.__slots__)
+
+
+def _set_path(p: Path, source: int, arrows: tuple[Arrow, ...], target: int, h: int) -> None:
+    set_source, set_arrows, set_target, set_hash = _PATH_SLOTS
+    set_source(p, source)
+    set_arrows(p, arrows)
+    set_target(p, target)
+    set_hash(p, h)
+
+
+def _path(source: int, arrows: tuple[Arrow, ...], target: int, h: int) -> Path:
+    """The trusted constructor: the arrows compose from source to target
+    and h is their hash."""
+    p = object.__new__(Path)
+    _set_path(p, source, arrows, target, h)
+    return p
 
 
 def trivial_path(v: int) -> Path:
@@ -85,7 +125,12 @@ def parse_path(q: LabelledDoubleQuiver, text: str, source: int | None = None) ->
 
 
 class PathElement:
-    """A finite field-linear combination of paths sharing source and target."""
+    """A finite field-linear combination of paths sharing source and target.
+
+    The public constructor drops zero coefficients and checks the shared
+    endpoints; ``multiply`` and ``scale`` build their results with the
+    trusted ``_element``, since a product or a multiple of elements shares
+    its endpoints by construction."""
 
     __slots__ = ("terms",)
 
@@ -141,7 +186,7 @@ class PathElement:
 
     def scale(self, c) -> "PathElement":
         c = FieldElem.of(c)
-        return PathElement({p: x * c for p, x in self.terms.items()})
+        return _element({p: x * c for p, x in self.terms.items()} if c else {})
 
     def __neg__(self) -> "PathElement":
         return self.scale(-1)
@@ -159,16 +204,25 @@ class PathElement:
         return f"PathElement({format_element(self)!r})"
 
 
+def _element(terms: dict[Path, FieldElem]) -> PathElement:
+    """The trusted constructor: the coefficients are nonzero and the paths
+    share source and target."""
+    x = object.__new__(PathElement)
+    x.terms = terms
+    return x
+
+
 def multiply(a: PathElement, b: PathElement) -> PathElement:
-    """Bilinear extension of concatenation; pq = 0 when endpoints mismatch."""
+    """Bilinear extension of concatenation; pq = 0 when endpoints mismatch.
+    The paths of a share one target and those of b one source, so the
+    endpoints are compared once."""
     out: dict[Path, FieldElem] = {}
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            if p.target != q.source:
-                continue
-            pq = p.concat(q)
-            out[pq] = out.get(pq, ZERO) + cp * cq
-    return PathElement(out)
+    if a.terms and a.target == b.source:
+        for p, cp in a.terms.items():
+            for q, cq in b.terms.items():
+                pq = p.concat(q)
+                out[pq] = out.get(pq, ZERO) + cp * cq
+    return _element({p: c for p, c in out.items() if c})
 
 
 def format_element(x: PathElement) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .dynkin import ExtDynkinType
 from .errors import DomainError
-from .weights import FieldElem, ONE, Weight, ZERO, dot_delta
+from .weights import FieldElem, ONE, Weight, ZERO, _check_length, dot_delta
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class TypeAPresentation:
 
 def presentation(n: int, w: Weight) -> TypeAPresentation:
     t = ExtDynkinType("A", n)
-    if len(w) != n + 1:
-        raise DomainError(f"weight has {len(w)} entries but ~A{n} has {n + 1} vertices")
+    _check_length(t, w)
     shift = dot_delta(t, w)
     xy: list[FieldElem] = [ONE]
     yx: list[FieldElem] = [ONE]
@@ -64,8 +63,8 @@ class TypeASequence:
 def type_a_sequence(n: int, w: Weight, i: int, j: int, k: int) -> TypeASequence:
     """The interior member of the sequence family: requires i < k < j and
     vanishing weights strictly between i and j."""
-    if len(w) != n + 1:
-        raise DomainError(f"weight has {len(w)} entries but ~A{n} has {n + 1} vertices")
+    t = ExtDynkinType("A", n)
+    _check_length(t, w)
     if not (0 <= i < j <= n + 1):
         raise DomainError(f"need 0 <= i < j <= n+1, got i={i}, j={j}")
     if not (i < k < j):

@@ -16,83 +16,122 @@ from .errors import DomainError, InternalInconsistency
 
 def _canon(x: int | Fraction) -> int | Fraction:
     """An exact rational in canonical form: an int when it is integral."""
-    return x.numerator if x.denominator == 1 else x
+    return x if x.__class__ is int else (x.numerator if x.denominator == 1 else x)
 
 
-@dataclass(frozen=True, order=False)
+def _exact(x) -> int | Fraction:
+    """A part given to the public constructor, checked and canonical."""
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError(f"a field element part must be an exact rational, not {x!r}")
+    return _canon(x)
+
+
 class FieldElem:
-    """An element a + b*i with exact rational a, b.
+    """An immutable element a + b*i with exact rational a, b.
 
     Each part is an int when it is integral and a Fraction otherwise, so
-    arithmetic on integral elements never builds a Fraction.  The total
-    order is lexicographic on (re, im): it extends the order on the
-    rationals, is translation invariant, and every element is below some
-    integer, which is all the theory needs from it.
+    arithmetic on integral elements never builds a Fraction.  The public
+    constructor checks that each part is an exact rational and brings it to
+    that form; arithmetic builds its already canonical results with the
+    trusted ``_make``, and returns an operand, or its negative, for a zero
+    term of a sum or a factor of 1 or -1.  The total order is lexicographic
+    on (re, im): it extends the order on the rationals, is translation
+    invariant, and every element is below some integer, which is all the
+    theory needs from it.
     """
 
-    re: int | Fraction = 0
-    im: int | Fraction = 0
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        _set_re(self, re if re.__class__ is int else _exact(re))
+        _set_im(self, im if im.__class__ is int else _exact(im))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"field elements are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (FieldElem, (self.re, self.im))
 
     @staticmethod
     def of(x) -> "FieldElem":
         if isinstance(x, FieldElem):
             return x
         if isinstance(x, (int, Fraction)):
-            return FieldElem(_canon(x))
+            return _make(_canon(x))
         if isinstance(x, str):
             return parse_field_elem(x)
         raise DomainError(f"cannot coerce {x!r} to a field element")
 
     def __add__(self, other) -> "FieldElem":
-        o = FieldElem.of(other)
+        o = other if other.__class__ is FieldElem else FieldElem.of(other)
+        if not (o.re or o.im):
+            return self
+        if not (self.re or self.im):
+            return o
         if not self.im and not o.im:
-            return FieldElem(_canon(self.re + o.re))
-        return FieldElem(_canon(self.re + o.re), _canon(self.im + o.im))
+            return _make(_canon(self.re + o.re))
+        return _make(_canon(self.re + o.re), _canon(self.im + o.im))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __sub__(self, other) -> "FieldElem":
-        o = FieldElem.of(other)
+        o = other if other.__class__ is FieldElem else FieldElem.of(other)
+        if not (o.re or o.im):
+            return self
         if not self.im and not o.im:
-            return FieldElem(_canon(self.re - o.re))
-        return FieldElem(_canon(self.re - o.re), _canon(self.im - o.im))
+            return _make(_canon(self.re - o.re))
+        return _make(_canon(self.re - o.re), _canon(self.im - o.im))
 
     def __rsub__(self, other) -> "FieldElem":
         return FieldElem.of(other) - self
 
     def __mul__(self, other) -> "FieldElem":
-        if isinstance(other, int):
-            return FieldElem(_canon(self.re * other), _canon(self.im * other))
-        o = FieldElem.of(other)
-        if not self.im and not o.im:
-            return FieldElem(_canon(self.re * o.re))
-        return FieldElem(_canon(self.re * o.re - self.im * o.im),
-                         _canon(self.re * o.im + self.im * o.re))
+        if other.__class__ is not FieldElem:
+            if isinstance(other, int):
+                return _make(_canon(self.re * other), _canon(self.im * other))
+            other = FieldElem.of(other)
+        sr, si, o_r, oi = self.re, self.im, other.re, other.im
+        if not oi:
+            if o_r == 1:
+                return self
+            if o_r == -1:
+                return _make(-sr, -si)
+        if not si:
+            if sr == 1:
+                return other
+            if sr == -1:
+                return _make(-o_r, -oi)
+            if not oi:
+                return _make(_canon(sr * o_r))
+        return _make(_canon(sr * o_r - si * oi), _canon(sr * oi + si * o_r))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FieldElem":
-        o = FieldElem.of(other)
+        o = other if other.__class__ is FieldElem else FieldElem.of(other)
         # Fraction(p, q), never p / q: int operands must not give a float
         if not o.im:
             if not o.re:
                 raise ZeroDivisionError("division by zero field element")
-            return self * FieldElem(_canon(Fraction(1, o.re)))
+            return self * _make(_canon(Fraction(1, o.re)))
         norm = o.re * o.re + o.im * o.im
-        return self * FieldElem(_canon(Fraction(o.re, norm)), _canon(Fraction(-o.im, norm)))
+        return self * _make(_canon(Fraction(o.re, norm)), _canon(Fraction(-o.im, norm)))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
-        try:
-            o = FieldElem.of(other)
-        except DomainError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if other.__class__ is not FieldElem:
+            try:
+                other = FieldElem.of(other)
+            except DomainError:
+                return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
@@ -117,6 +156,17 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({str(self)!r})"
+
+
+_set_re, _set_im = FieldElem.re.__set__, FieldElem.im.__set__
+
+
+def _make(re: int | Fraction, im: int | Fraction = 0) -> FieldElem:
+    """The trusted constructor: both parts must already be canonical."""
+    x = object.__new__(FieldElem)
+    _set_re(x, re)
+    _set_im(x, im)
+    return x
 
 
 ZERO = FieldElem()
@@ -146,7 +196,7 @@ def _field_elem_of(m: re.Match) -> FieldElem:
             im = "1"
         elif im == "-":
             im = "-1"
-        return FieldElem(0, _canon(Fraction(im)))
+        return _make(0, _canon(Fraction(im)))
     re_part = _canon(Fraction(m.group("re")))
     im_part = 0
     if m.group("im1") is not None:
@@ -154,7 +204,7 @@ def _field_elem_of(m: re.Match) -> FieldElem:
         if s in ("+", "-"):
             s += "1"
         im_part = _canon(Fraction(s))
-    return FieldElem(re_part, im_part)
+    return _make(re_part, im_part)
 
 
 def format_field_elem(x: FieldElem) -> str:
@@ -193,12 +243,8 @@ class Weight:
         return format_weight(self)
 
 
-def parse_weight(text: str, n_vertices: int | None = None) -> Weight:
-    parts = [p for p in text.split(",")]
-    w = Weight.of([parse_field_elem(p) for p in parts])
-    if n_vertices is not None and len(w) != n_vertices:
-        raise DomainError(f"weight has {len(w)} entries, expected {n_vertices}")
-    return w
+def parse_weight(text: str) -> Weight:
+    return Weight.of([parse_field_elem(p) for p in text.split(",")])
 
 
 def format_weight(w: Weight) -> str:

@@ -28,6 +28,53 @@ def paths_by_degree(quiver, maxdeg):
     return out
 
 
+def walk(source, arrows):
+    """(end vertex, length) of an arrow sequence walked from its source, or
+    None when an arrow does not compose."""
+    at, length = source, 0
+    for a in arrows:
+        if a.tail != at:
+            return None
+        at, length = a.head, length + 1
+    return at, length
+
+
+def as_pair(c):
+    """A coefficient as an exact (re, im) pair of Fractions."""
+    c = FieldElem.of(c)
+    return (Fraction(c.re), Fraction(c.im))
+
+
+def pair_product(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def element_pairs(x):
+    """A PathElement as {(source, arrows): (re, im)}."""
+    return {(p.source, p.arrows): as_pair(c) for p, c in x.terms.items()}
+
+
+def brute_product(a, b):
+    """a * b expanded term by term over (re, im) pairs, keyed by (source,
+    arrows); a pair of paths contributes only when the first ends, by a
+    walk, where the second starts, and sums that vanish are dropped."""
+    out = {}
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            if walk(p.source, p.arrows)[0] != q.source:
+                continue
+            key = (p.source, p.arrows + q.arrows)
+            x, s = pair_product(as_pair(cp), as_pair(cq)), out.get(key, (0, 0))
+            out[key] = (s[0] + x[0], s[1] + x[1])
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def brute_scale(a, c):
+    """c * a over (re, im) pairs, keyed by (source, arrows)."""
+    out = {k: pair_product(x, as_pair(c)) for k, x in element_pairs(a).items()}
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
 def rank_of_rows(rows):
     """Row rank over the field, dict-of-columns sparse elimination."""
     rank, pivots = 0, {}

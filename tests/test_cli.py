@@ -91,6 +91,18 @@ def test_zero_denominator_weight_exits_1(capsys):
         assert err.startswith("error: zero denominator")
 
 
+def test_wrong_length_weight_exits_1(capsys):
+    """Every --weights consumer applies the one length rule of weights."""
+    for argv, want in ((["decompose", "--type", "~A5", "--weights", "0,0,1"],
+                        "weight has 3 entries but ~A5 has 6 vertices"),
+                       (["presentation", "--type", "~A3", "--weights", "1,0,0,0,0"],
+                        "weight has 5 entries but ~A3 has 4 vertices")):
+        for fmt in ([], ["--format", "json"]):
+            code = main(argv + fmt)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (1, "", f"error: {want}\n")
+
+
 def test_bad_s_entry_is_usage_error(capsys):
     code = main(["knit", "--type", "~D5", "--S", "0,x", "--target", "4"])
     out, err = capsys.readouterr()

@@ -1,11 +1,13 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (brute_filtered_member, brute_graded_dims, brute_graded_member,
-                     oracle_relations, parse_element, paths_by_degree, rank_of_rows,
-                     unit)
+                     brute_product, brute_scale, element_pairs, oracle_relations,
+                     parse_element, paths_by_degree, rank_of_rows, unit, walk)
 from preproj import pathalg
 from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
 from preproj.errors import DomainError, InternalInconsistency
@@ -44,6 +46,38 @@ def test_paths_built_separately_are_one_key():
         assert p == walks[0] and hash(p) == hash(walks[0])
         table[p] = table.get(p, 0) + 1
     assert table == {walks[0]: 1 + len(walks)}
+
+
+def test_joins_are_checked_and_stored_endpoints_match_a_walk():
+    for t in (ExtDynkinType("A", 2), ExtDynkinType("D", 5), ExtDynkinType("E", 6)):
+        q = build_extended(t)
+        paths = [p for ps in paths_by_degree(q, 3).values() for p in ps]
+        for p in paths:
+            assert (p.target, len(p)) == walk(p.source, p.arrows)
+            fresh = Path(p.source, p.arrows)
+            assert fresh == p and hash(fresh) == hash(p) and fresh.target == p.target
+            for a in q.arrows:
+                if a.tail == p.target:
+                    assert (p.then(a).target, len(p.then(a))) == walk(p.source, p.arrows + (a,))
+                else:
+                    with pytest.raises(DomainError):
+                        p.then(a)
+                    with pytest.raises(DomainError):
+                        Path(p.source, p.arrows + (a,))
+        for p in paths[::7]:
+            for r in paths:
+                if r.source != p.target:
+                    with pytest.raises(DomainError):
+                        p.concat(r)
+                    continue
+                pr = p.concat(r)
+                assert (pr.target, len(pr)) == walk(p.source, p.arrows + r.arrows)
+                assert pr == Path(p.source, p.arrows + r.arrows)
+                assert hash(pr) == hash(Path(p.source, p.arrows + r.arrows))
+        with pytest.raises(AttributeError):
+            paths[0].target = 5
+        p = paths[-1]
+        assert pickle.loads(pickle.dumps(p)) == p and hash(copy.deepcopy(p)) == hash(p)
 
 
 def test_reversed_arrow_twice_is_the_arrow():
@@ -122,6 +156,43 @@ def test_multiply_associative_random():
             assert ab.degree <= a.degree + b.degree
 
 
+def test_multiply_and_scale_match_brute_force_expansion():
+    """Products and multiples built by the trusted constructor equal the
+    term-by-term expansion over (re, im) pairs, keep no zero coefficient
+    and share one source and one target, as the public constructor checks."""
+    rng = random.Random(12)
+    coefs = [ONE, -ONE, FieldElem(2), FieldElem(Fraction(-1, 3)), FieldElem(0, 1),
+             FieldElem(Fraction(1, 2), -1)]
+    for t in (ExtDynkinType("A", 3), ExtDynkinType("D", 4)):
+        q = build_extended(t)
+        pool = [p for ps in paths_by_degree(q, 3).values() for p in ps]
+
+        def rand_elem(src, tgt):
+            picks = [p for p in pool if p.source == src and p.target == tgt]
+            return PathElement({p: rng.choice(coefs)
+                                for p in rng.sample(picks, min(rng.randint(1, 3), len(picks)))})
+
+        for _ in range(300):
+            u, v, w = (rng.choice(q.vertices) for _ in range(3))
+            a = rand_elem(u, v)
+            b = rand_elem(v if rng.random() < 0.8 else w, w)
+            c = rng.choice(coefs + [ZERO])
+            for got, want in ((multiply(a, b), brute_product(a, b)),
+                              (a.scale(c), brute_scale(a, c))):
+                assert element_pairs(got) == want
+                assert all(got.terms.values())
+                assert len({(p.source, walk(p.source, p.arrows)[0]) for p in got.terms}) <= 1
+                assert PathElement(dict(got.terms)) == got
+    # (e + L)(x L.r - x r) with L a loop: the two products L.r cancel
+    q = build_extended(ExtDynkinType("A", 3))
+    e, loop, r = trivial_path(0), parse_path(q, "a0.~a0"), parse_path(q, "a0")
+    x = FieldElem(Fraction(1, 2), -1)
+    a, b = PathElement({e: ONE, loop: ONE}), PathElement({loop.concat(r): x, r: -x})
+    got = multiply(a, b)
+    assert element_pairs(got) == brute_product(a, b)
+    assert list(got.terms) == [r, loop.concat(loop).concat(r)]
+
+
 def test_element_format_roundtrip():
     t = ExtDynkinType("D", 5)
     q = build_extended(t)
@@ -135,6 +206,12 @@ def test_mixed_endpoints_rejected():
     q = build_extended(t)
     with pytest.raises(DomainError):
         PathElement({parse_path(q, "a0"): 1, parse_path(q, "a1"): 1})
+    # one shared endpoint is not enough: a0: 0->1, ~a2: 0->2, ~a0: 1->0, a2: 2->0
+    for mixed in (("a0", "~a2"), ("~a0", "a2")):
+        with pytest.raises(DomainError):
+            PathElement({parse_path(q, name): ONE for name in mixed})
+        with pytest.raises(DomainError):
+            PathElement.sum(PathElement.of_path(parse_path(q, name)) for name in mixed)
 
 
 def test_sum_keeps_the_terms_of_repeated_addition_in_order():

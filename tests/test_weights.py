@@ -1,14 +1,16 @@
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import fuzz_text, schedler_configuration
+from oracles import as_pair, fuzz_text, pair_product, schedler_configuration
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
 from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
-                             apply_reflections,
+                             _check_length, apply_reflections,
                              classify_weight, compare, dot_delta,
                              dual_reflection, epsilon0, format_field_elem,
                              format_weight, is_quasi_dominant, numbers_game,
@@ -254,17 +256,10 @@ def test_schedler_reachability():
 
 
 def test_weight_parse_errors():
-    with pytest.raises(DomainError):
-        parse_weight("1,2,3", 5)
+    # parsing takes any length; every consumer applies the one length rule
+    with pytest.raises(DomainError, match="^weight has 3 entries but ~A4 has 5 vertices$"):
+        _check_length(ExtDynkinType("A", 4), parse_weight("1,2,3"))
     assert format_weight(parse_weight("1,-1/2,0,1/2+1/3i")) == "1,-1/2,0,1/2+1/3i"
-
-
-def as_pair(x):
-    return (Fraction(x.re), Fraction(x.im))
-
-
-def pair_product(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def test_field_elem_arithmetic_matches_pair_formula():
@@ -303,14 +298,17 @@ def assert_canonical(x):
 def test_field_elem_parts_are_canonical():
     rng = random.Random(9)
     scalars = [0, 1, -3, 4, Fraction(6, 3), Fraction(-1, 2), Fraction(3, 4)]
-    elems = [ZERO, ONE, FieldElem.of(-2), FieldElem.of(Fraction(1, 2)),
+    elems = [ZERO, ONE, -ONE, ZERO - ONE, FieldElem(0, 1), FieldElem(0, -1),
+             FieldElem.of(-2), FieldElem.of(Fraction(1, 2)),
              FieldElem(2, -3), FieldElem(Fraction(1, 2), 3), FieldElem(0, Fraction(-1, 3)),
-             # built directly with integral Fraction parts: results are canonical anyway
-             FieldElem(Fraction(4), Fraction(0)), FieldElem(Fraction(4), Fraction(2))]
+             # built directly with integral Fraction parts, which the constructor makes int
+             FieldElem(Fraction(4), Fraction(0)), FieldElem(Fraction(4), Fraction(2)),
+             FieldElem(Fraction(-1), Fraction(0)), FieldElem(Fraction(0), Fraction(0))]
     elems += [rand_elem(rng) for _ in range(4)]
     for x in scalars:
         assert_canonical(FieldElem.of(x))
     for x in elems:
+        assert_canonical(x)
         a = as_pair(x)
         for y in scalars + elems:
             b = as_pair(FieldElem.of(y))
@@ -329,6 +327,27 @@ def test_field_elem_parts_are_canonical():
                 got = y / x
                 assert_canonical(got)
                 assert as_pair(got) == pair_quotient(b, a)
+
+
+def test_field_elem_is_immutable_and_checks_its_parts():
+    x = FieldElem(Fraction(4), Fraction(0))
+    assert (type(x.re), type(x.im)) == (int, int) and x == FieldElem(4)
+    for attr in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 5)
+    with pytest.raises(AttributeError):
+        del x.re
+    assert x == FieldElem(4)
+    y = FieldElem(Fraction(-1, 2), 3)
+    for z in (copy.deepcopy(y), pickle.loads(pickle.dumps(y))):
+        assert z == y and hash(z) == hash(y) and z is not y
+    # a factor of one or a zero term gives back the operand, which immutability makes safe
+    assert ONE * y is y and y * ONE is y and ZERO + y is y and y + ZERO is y and y - ZERO is y
+    for bad in (0.5, "1", None):
+        with pytest.raises(DomainError):
+            FieldElem(bad)
+        with pytest.raises(DomainError):
+            FieldElem(1, bad)
 
 
 def test_field_elem_integral_parts_compare_and_hash_alike():
