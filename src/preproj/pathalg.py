@@ -109,6 +109,16 @@ def _path(source: int, arrows: tuple[Arrow, ...], target: int, h: int) -> Path:
     return p
 
 
+def _prefix(p: Path) -> Path:
+    """p without its last arrow, through the trusted constructor: a prefix
+    of a valid path composes and ends where that arrow starts."""
+    arrows = p.arrows[:-1]
+    h = p.source
+    for a in arrows:
+        h = hash((h, a.id))
+    return _path(p.source, arrows, p.arrows[-1].tail, h)
+
+
 def trivial_path(v: int) -> Path:
     return Path(v, ())
 
@@ -479,7 +489,7 @@ class QuotientModel:
         g, and an ideal remainder pushed one suffix level down."""
         top = len(p)
         info = self.echelon[top]
-        prefix = Path(p.source, p.arrows[:-1])
+        prefix = _prefix(p)
         last = p.arrows[-1]
         delta = {prefix: coef}
         for bid, c in self.nf_path(prefix).items():

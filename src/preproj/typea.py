@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 from .dynkin import ExtDynkinType
 from .errors import DomainError
-from .weights import FieldElem, ONE, Weight, ZERO, _check_length, dot_delta
+from .weights import (FieldElem, ONE, Weight, ZERO, _check_length, _lattice, _unscale,
+                      dot_delta)
 
 
 @dataclass(frozen=True)
@@ -29,19 +30,31 @@ class TypeAPresentation:
 
 
 def presentation(n: int, w: Weight) -> TypeAPresentation:
+    """The relations at weight w, computed at the integral weight D*w.
+
+    D is the common denominator of w's parts (``weights._lattice``), so
+    every product below multiplies int parts.  A monic polynomial of degree
+    n + 1 whose roots are scaled by D has its z^k coefficient scaled by
+    D^(n+1-k); dividing by that, and the shift by D, gives the relations at w.
+    """
     t = ExtDynkinType("A", n)
     _check_length(t, w)
-    shift = dot_delta(t, w)
+    d, pairs = _lattice(w)
+    scaled = Weight(tuple(FieldElem(a, b) for a, b in pairs))
+    shift = dot_delta(t, scaled)
     xy: list[FieldElem] = [ONE]
     yx: list[FieldElem] = [ONE]
     partial = ZERO
     for i in range(n + 1):
-        partial = partial + w[i] if i >= 1 else partial
+        partial = partial + scaled[i] if i >= 1 else partial
         # times the monic factors z + partial and z + partial - shift, in one pass each
         low = partial - shift
         xy = [x * partial + y for x, y in zip(xy + [ZERO], [ZERO] + xy)]
         yx = [x * low + y for x, y in zip(yx + [ZERO], [ZERO] + yx)]
-    return TypeAPresentation(n, shift, tuple(xy), tuple(yx))
+    scale = [d ** (n + 1 - k) for k in range(n + 2)]
+    return TypeAPresentation(n, _unscale(shift.re, shift.im, d),
+                             tuple(_unscale(c.re, c.im, q) for c, q in zip(xy, scale)),
+                             tuple(_unscale(c.re, c.im, q) for c, q in zip(yx, scale)))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,16 @@ reflections, quasi-dominance, and the numbers game used to find smooth
 deformations.  Quasi-dominance and the numbers game share one firing loop,
 which ends by theorem (finite type, or positive level), so neither has a
 step cap.
+
+A dual reflection is integral, so the firing loop plays on the lattice
+D*w, where D is the common denominator of every part of w (``_lattice``):
+it fires on (re, im) int pairs and divides by D once at the end.  Scaling
+by D > 0 keeps the lex order, so the firing word is the one the field
+arithmetic gives.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,19 +345,55 @@ def classify_weight(t: ExtDynkinType, w: Weight) -> WeightClass:
 CANDIDATE_MAX_ENTRY = 3
 
 
+def _lattice(w: Weight) -> tuple[int, list[tuple[int, int]]]:
+    """The common denominator D > 0 of every re and im part of w, and D*w
+    as (re, im) int pairs.  Dual reflections keep D*w integral, and D > 0
+    keeps the lex order on (re, im)."""
+    entries = w.entries
+    d = math.lcm(*(x.re.denominator for x in entries), *(x.im.denominator for x in entries))
+    return d, [(x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator))
+               for x in entries]
+
+
+def _unscale(re: int, im: int, d: int) -> FieldElem:
+    """(re + im*i) / d for ints re, im and d > 0, in canonical form."""
+    if d == 1:
+        return _make(re, im)
+    return _make(_canon(Fraction(re, d)), _canon(Fraction(im, d)))
+
+
 def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[int]]:
     """The numbers game on the given vertices: fire the smallest entry while
     it is negative; ``min`` keeps the first of equal entries, so ties go to
     the smallest index.  Returns the terminal weight and the firing
     sequence.  Each caller admits only games that end, so there is no step
-    cap."""
+    cap.
+
+    The game plays on the int pairs of D*w (``_lattice``): a firing at i
+    negates entry i and adds it to each neighbour, exactly as
+    ``dual_reflection`` does, and since D > 0 every comparison, and so the
+    word, is the one on w.  The terminal weight is divided by D once."""
+    d, keys = _lattice(w)
+    start = keys.copy()
+    nbrs = _neighbours(t)
+    key = keys.__getitem__
     fired: list[int] = []
     while True:
-        i = min(vertices, key=lambda j: w[j]._key())
-        if not w[i] < ZERO:
-            return w, fired
-        w = dual_reflection(t, w, i)
+        i = min(vertices, key=key)
+        if keys[i] >= (0, 0):
+            break
+        a, b = keys[i]
+        keys[i] = (-a, -b)
+        for j in nbrs[i]:
+            c, e = keys[j]
+            keys[j] = (c + a, e + b)
         fired.append(i)
+    if not fired:
+        return w, fired
+    # an entry the game left as it was keeps its object, so the result holds
+    # no more new elements than the game changed
+    return Weight(tuple(x if k == k0 else _unscale(*k, d)
+                        for x, k, k0 in zip(w.entries, keys, start))), fired
 
 
 def quasi_dominantize(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:

@@ -4,7 +4,11 @@ tests need: parsing printed elements, checking vertex permutations and the
 Schedler configuration.
 
 Everything here works from first principles (path enumeration, span ranks
-over exact rationals) and never calls the layered engine it checks.
+over exact rationals) and never calls the layered engine it checks.  The
+two reference loops, ``reference_fire`` and ``reference_presentation``,
+play the numbers game and build the ~A presentation in field arithmetic on
+the weight itself, one ``dual_reflection`` per firing, which the lattice
+versions in the package must match exactly.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from fractions import Fraction
 
 from preproj.dynkin import Arrow, build_extended, delta_vector
 from preproj.pathalg import Path, PathElement, multiply, parse_path, trivial_path
-from preproj.weights import FieldElem, ONE, Weight, ZERO
+from preproj.weights import FieldElem, ONE, Weight, ZERO, dot_delta, dual_reflection
 
 
 def unit(v):
@@ -285,6 +289,32 @@ def poly_shift(coeffs, shift):
         out = _poly_mul(out, [shift, ONE])
         out[0] = out[0] + c
     return tuple(out[: len(coeffs)])
+
+
+def reference_fire(t, w, vertices):
+    """The numbers game on the given vertices in field arithmetic: fire the
+    smallest entry while it is negative, ties to the smallest index.
+    Returns the terminal weight and the firing sequence."""
+    fired = []
+    while True:
+        i = min(vertices, key=lambda j: w[j]._key())
+        if not w[i] < ZERO:
+            return w, fired
+        w = dual_reflection(t, w, i)
+        fired.append(i)
+
+
+def reference_presentation(t, w):
+    """(shift, xy, yx) of the ~A_n presentation, multiplied out factor by
+    factor in field arithmetic on w itself."""
+    shift = dot_delta(t, w)
+    xy, yx, partial = [ONE], [ONE], ZERO
+    for i in range(t.n + 1):
+        partial = partial + w[i] if i >= 1 else partial
+        low = partial - shift
+        xy = [x * partial + y for x, y in zip(xy + [ZERO], [ZERO] + xy)]
+        yx = [x * low + y for x, y in zip(yx + [ZERO], [ZERO] + yx)]
+    return shift, tuple(xy), tuple(yx)
 
 
 def schedler_configuration(t) -> Weight:

@@ -80,6 +80,15 @@ def test_joins_are_checked_and_stored_endpoints_match_a_walk():
         assert pickle.loads(pickle.dumps(p)) == p and hash(copy.deepcopy(p)) == hash(p)
 
 
+def test_trusted_prefix_matches_the_public_construction():
+    for t in (ExtDynkinType("A", 2), ExtDynkinType("D", 5), ExtDynkinType("E", 6)):
+        q = build_extended(t)
+        for p in (p for d, ps in paths_by_degree(q, 4).items() if d for p in ps):
+            got, want = pathalg._prefix(p), Path(p.source, p.arrows[:-1])
+            assert got == want and hash(got) == hash(want)
+            assert (got.source, got.arrows, got.target) == (want.source, want.arrows, want.target)
+
+
 def test_reversed_arrow_twice_is_the_arrow():
     for t in ALL_EXTENDED:
         for a in build_extended(t).arrows:

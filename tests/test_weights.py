@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import pickle
 import random
@@ -6,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import as_pair, fuzz_text, pair_product, schedler_configuration
+from oracles import (as_pair, fuzz_text, pair_product, reference_fire, reference_presentation,
+                     schedler_configuration)
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
 from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
@@ -16,6 +18,7 @@ from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
                              format_weight, is_quasi_dominant, numbers_game,
                              parse_field_elem, parse_weight,
                              quasi_dominantize, resolve_to_smooth)
+from preproj.typea import presentation
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
@@ -157,7 +160,7 @@ def test_numbers_game_rejects_level_at_most_zero_at_once(monkeypatch):
     def no_firing(*args):
         raise AssertionError("a vertex fired before the level check")
 
-    monkeypatch.setattr("preproj.weights.dual_reflection", no_firing)
+    monkeypatch.setattr("preproj.weights._fire", no_firing)
     t = ExtDynkinType("A", 2)
     for w in ([1, -1, 0], [-1, 0, 0], [0, 0, 0], ["i", "-i", 0], ["-1+5i", 0, 0]):
         with pytest.raises(DomainError, match="positive level"):
@@ -427,3 +430,87 @@ def test_dual_reflection_matches_dense_formula(t):
             assert [as_pair(x) for x in got.entries] == dense_reflection(
                 cext, [as_pair(x) for x in w.entries], i)
 
+
+
+# coprime denominators up to 10^9+7: their lcm makes D*w entries of ~120 bits
+LARGE_DENOMINATORS = (999999937, 10**9 + 7, 10**9 + 9, 2**31 - 1)
+CORPUS_KINDS = ("integral", "rational", "large", "gaussian", "gaussian-large")
+
+
+def corpus_entry(rng, kind):
+    if kind == "integral":
+        return Fraction(rng.randint(-6, 6))
+    if kind.endswith("large"):
+        q = rng.choice(LARGE_DENOMINATORS)
+        part = lambda: Fraction(rng.randint(-3 * q, 3 * q), q)
+    else:
+        part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return FieldElem(part(), part()) if kind.startswith("gaussian") else part()
+
+
+def corpus_weights(t):
+    """Two seeded weights of each kind, then the strictly antidominant ones,
+    which play the longest word of the Dynkin part."""
+    rng = random.Random(f"lattice-{t}")
+    for kind in CORPUS_KINDS:
+        for _ in range(2):
+            yield rng, Weight.of([corpus_entry(rng, kind) for _ in range(t.n + 1)])
+    for tail in (-1, FieldElem(0, -1), Fraction(-1, 10**9 + 7)):
+        yield rng, Weight.of([0] + [tail] * t.n)
+
+
+def at_positive_level(rng, t, w):
+    """w with the real part of w_0 set so that the real level is 1, 2, 1/2 or 7/3."""
+    d = delta_vector(t)
+    rest = sum((x.re * di for x, di in zip(w.entries[1:], d[1:])), 0)
+    level = rng.choice((1, 2, Fraction(1, 2), Fraction(7, 3)))
+    return Weight((FieldElem(level - rest, w[0].im),) + w.entries[1:])
+
+
+@functools.cache
+def corpus_rows(t):
+    """(w, quasi_dominantize(w), game weight, numbers_game of it, and on ~A
+    the presentation at both weights) for each corpus weight of t."""
+    rows = []
+    for rng, w in corpus_weights(t):
+        g = at_positive_level(rng, t, w)
+        pres = ((presentation(t.n, w), presentation(t.n, g)) if t.family == "A" else ())
+        rows.append((w, quasi_dominantize(t, w), g, numbers_game(t, g), pres))
+    return rows
+
+
+@pytest.mark.parametrize("t", ALL_EXTENDED, ids=str)
+def test_lattice_game_and_presentation_match_the_field_references(t):
+    for w, qd, g, game, pres in corpus_rows(t):
+        assert qd == reference_fire(t, w, range(1, t.n + 1)), str(w)
+        assert game == reference_fire(t, g, range(t.n + 1)), str(g)
+        for x in qd[0].entries + game[0].entries:
+            assert_canonical(x)
+        for p, start in zip(pres, (w, g)):
+            assert (p.shift, p.xy, p.yx) == reference_presentation(t, start), str(start)
+            for x in (p.shift,) + p.xy + p.yx:
+                assert_canonical(x)
+
+
+def test_lattice_game_without_a_firing_returns_its_weight():
+    t = ExtDynkinType("E", 6)
+    w = Weight.of([Fraction(-1, 3)] + [Fraction(1, 10**9 + 7)] * 6)
+    assert quasi_dominantize(t, w) == (w, []) and quasi_dominantize(t, w)[0] is w
+
+
+def corpus_text():
+    lines = []
+    for t in ALL_EXTENDED:
+        for w, (qd, word), g, (end, fired), pres in corpus_rows(t):
+            lines.append(";".join([str(t), str(w), str(qd), str(word), str(g), str(end),
+                                   str(fired)] + [f"{p.shift}|{p.xy}|{p.yx}" for p in pres]))
+    return "\n".join(lines)
+
+
+# sha256 of corpus_text() as the field-arithmetic firing loop and presentation
+# gave it, before both moved to the integer lattice
+FROZEN_LATTICE_CORPUS = "0485740707548210d6f75722d28b1937a4b17d857e7b8bcf71363b9154b6652d"
+
+
+def test_lattice_corpus_output_is_frozen():
+    assert hashlib.sha256(corpus_text().encode()).hexdigest() == FROZEN_LATTICE_CORPUS
