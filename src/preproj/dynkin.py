@@ -6,7 +6,7 @@ full subquivers into canonical Dynkin pieces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency
 
@@ -31,15 +31,47 @@ def _check_rank(family: str, n: int, extended: bool) -> None:
         raise DomainError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class _RankedType:
+    """A family letter and a rank, checked at the constructor; immutable.
+
+    Equality and the hash are on (family, n) within one class, so a Dynkin
+    type never equals the extended type of the same family and rank."""
+
+    __slots__ = ("family", "n")
+    _extended = False
+
+    def __init__(self, family: str, n: int):
+        _check_rank(family, n, self._extended)
+        _set_family(self, family)
+        _set_n(self, n)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"Dynkin types are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (self.__class__, (self.family, self.n))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.n))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(family={self.family!r}, n={self.n!r})"
+
+
+_set_family, _set_n = _RankedType.family.__set__, _RankedType.n.__set__
+
+
+class DynkinType(_RankedType):
     """A Dynkin diagram A_n (n>=1), D_n (n>=4) or E_n (n in 6..8)."""
 
-    family: str
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_rank(self.family, self.n, extended=False)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.family}{self.n}"
@@ -49,18 +81,14 @@ class DynkinType:
         return COXETER_NUMBERS[self.family](self.n)
 
 
-@dataclass(frozen=True)
-class ExtDynkinType:
+class ExtDynkinType(_RankedType):
     """An extended Dynkin diagram ~A_n (n>=2), ~D_n (n>=4) or ~E_n.
 
     Vertices are 0..n with 0 the extending vertex.
     """
 
-    family: str
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_rank(self.family, self.n, extended=True)
+    __slots__ = ()
+    _extended = True
 
     def __str__(self) -> str:
         return f"~{self.family}{self.n}"
@@ -81,30 +109,50 @@ def parse_type(text: str) -> ExtDynkinType | DynkinType:
     return ExtDynkinType(family, n) if extended else DynkinType(family, n)
 
 
-@dataclass(frozen=True)
 class Arrow:
-    """One arrow of a double quiver: a<k> (ordinary) or ~a<k> (reverse)."""
+    """One arrow of a double quiver: a<k> (ordinary) or ~a<k> (reverse).
 
-    index: int
-    reverse: bool
-    tail: int
-    head: int
-    # id is unique within a quiver, is the hash and keys every table; name is for print/parse
-    id: int = field(init=False, repr=False, compare=False)
-    name: str = field(init=False, repr=False, compare=False)
+    Immutable.  Equality is on (index, reverse, tail, head); ``id`` is
+    unique within a quiver, is the hash and keys every table, and ``name``
+    is for print and parse."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "id", self.index << 1 | self.reverse)
-        object.__setattr__(self, "name", ("~a" if self.reverse else "a") + str(self.index))
+    __slots__ = ("index", "reverse", "tail", "head", "id", "name")
+
+    def __init__(self, index: int, reverse: bool, tail: int, head: int):
+        values = (index, reverse, tail, head, index << 1 | reverse,
+                  ("~a" if reverse else "a") + str(index))
+        for set_slot, value in zip(_ARROW_SLOTS, values):
+            set_slot(self, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"arrows are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Arrow, (self.index, self.reverse, self.tail, self.head))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return (self.index == other.index and self.reverse == other.reverse
+                and self.tail == other.tail and self.head == other.head)
 
     def __hash__(self) -> int:
         return self.id
+
+    def __repr__(self) -> str:
+        return (f"Arrow(index={self.index!r}, reverse={self.reverse!r}, "
+                f"tail={self.tail!r}, head={self.head!r})")
 
     def reversed_arrow(self) -> "Arrow":
         return Arrow(self.index, not self.reverse, self.head, self.tail)
 
     def __str__(self) -> str:
         return self.name
+
+
+_ARROW_SLOTS = tuple(getattr(Arrow, s).__set__ for s in Arrow.__slots__)
 
 
 def _ordinary_arrows(t: ExtDynkinType) -> list[tuple[int, int, int]]:
@@ -129,31 +177,50 @@ def _ordinary_arrows(t: ExtDynkinType) -> list[tuple[int, int, int]]:
     return [(0, 0, 1), (1, 2, 1), (2, 2, 3), (3, 4, 3), (4, 4, 5), (5, 6, 5), (6, 6, 7), (8, 8, 5)]
 
 
-@dataclass(frozen=True)
 class LabelledDoubleQuiver:
-    """The double of a quiver: each ordinary arrow a<k> has a reverse ~a<k>."""
+    """The double of a quiver: each ordinary arrow a<k> has a reverse ~a<k>.
 
-    vertices: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
-    type: ExtDynkinType | None = None
-    _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
-    _out: dict[int, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
-    _neighbours: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    ordinary_arrows: tuple[Arrow, ...] = field(init=False, repr=False, compare=False)
+    Immutable.  The constructor builds the name, out-arrow and neighbour
+    tables; equality and the hash are on (vertices, arrows, type)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("vertices", "arrows", "type", "ordinary_arrows", "_by_name", "_out",
+                 "_neighbours")
+
+    def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...],
+                 type: ExtDynkinType | None = None):
         by_name: dict[str, Arrow] = {}
-        out: dict[int, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
+        out: dict[int, list[Arrow]] = {v: [] for v in vertices}
+        for a in arrows:
             if a.name in by_name:
                 raise InternalInconsistency("duplicate arrow labels")
             by_name[a.name] = a
             out.setdefault(a.tail, []).append(a)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
-        object.__setattr__(self, "_neighbours", {v: tuple(sorted({a.head for a in arrows}))
-                                                 for v, arrows in out.items()})
-        object.__setattr__(self, "ordinary_arrows", tuple(a for a in self.arrows if not a.reverse))
+        values = (vertices, arrows, type, tuple(a for a in arrows if not a.reverse), by_name,
+                  {v: tuple(vs) for v, vs in out.items()},
+                  {v: tuple(sorted({a.head for a in vs})) for v, vs in out.items()})
+        for set_slot, value in zip(_QUIVER_SLOTS, values):
+            set_slot(self, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"quivers are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (LabelledDoubleQuiver, (self.vertices, self.arrows, self.type))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LabelledDoubleQuiver:
+            return NotImplemented
+        return (self.vertices == other.vertices and self.arrows == other.arrows
+                and self.type == other.type)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows, self.type))
+
+    def __repr__(self) -> str:
+        return (f"LabelledDoubleQuiver(vertices={self.vertices!r}, arrows={self.arrows!r}, "
+                f"type={self.type!r})")
 
     def arrow(self, name: str) -> Arrow:
         a = self._by_name.get(name)
@@ -188,6 +255,10 @@ class LabelledDoubleQuiver:
         keep = set(keep)
         arrows = tuple(a for a in self.arrows if a.tail in keep and a.head in keep)
         return LabelledDoubleQuiver(tuple(sorted(keep)), arrows, type=None)
+
+
+_QUIVER_SLOTS = tuple(getattr(LabelledDoubleQuiver, s).__set__
+                      for s in LabelledDoubleQuiver.__slots__)
 
 
 # one shared frozen quiver per type, built on first use
@@ -233,8 +304,7 @@ def delta_vector(t: ExtDynkinType) -> tuple[int, ...]:
             8: (1, 2, 3, 4, 5, 6, 4, 2, 3)}[n]
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     """Cartan matrices and the delta vector of an extended Dynkin type.
 
     C is the (n x n) Dynkin Cartan matrix on vertices 1..n, C_ext the
@@ -283,8 +353,7 @@ def dynkin_adjacency(t: DynkinType) -> dict[int, tuple[int, ...]]:
     return build_dynkin(t).adjacency()
 
 
-@dataclass(frozen=True)
-class VertexPermutation:
+class VertexPermutation(NamedTuple):
     """A bijection on a vertex subset."""
 
     mapping: tuple[tuple[int, int], ...]

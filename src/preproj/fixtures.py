@@ -9,7 +9,7 @@ E8 map pair (forced by composability and homogeneity).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import DynkinType, ExtDynkinType, build_extended
 from .pathalg import PathElement, parse_path
@@ -75,8 +75,7 @@ H_E = {6: H_E6, 7: H_E7, 8: H_E8}
 # golden knitted sequences
 
 
-@dataclass(frozen=True)
-class SequenceFixture:
+class SequenceFixture(NamedTuple):
     """0 -> V_kernel -> (+)middle -> V_target -> 0, with S = middle + {0}."""
 
     fixture_id: str
@@ -212,8 +211,7 @@ def worked_example_fixtures() -> list[SequenceFixture]:
 # printed map pairs
 
 
-@dataclass(frozen=True)
-class MapFixture:
+class MapFixture(NamedTuple):
     """A printed pair (phi, psi) with psi.phi = 0, and the Dynkin component
     whose vertices carry the zero weights in the deformed variant."""
 

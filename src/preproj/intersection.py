@@ -4,15 +4,14 @@ Gamma = -C, and the smooth-deformation resolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import ExtDynkinType, build_extended, cartan
 from .errors import DomainError, InternalInconsistency
 from .weights import Weight, resolve_to_smooth
 
 
-@dataclass(frozen=True)
-class NeighbourSequence:
+class NeighbourSequence(NamedTuple):
     """0 -> V_i -> sum_{k in boundary(i)} V_k -> V_i -> 0 at weight eps_0."""
 
     type: ExtDynkinType
@@ -20,8 +19,7 @@ class NeighbourSequence:
     middle: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtTriple:
+class ExtTriple(NamedTuple):
     """(dim Hom, dim Ext^1, dim Ext^2) between two simples; higher Ext
     vanish since the resolution has global dimension two."""
 
@@ -33,8 +31,7 @@ class ExtTriple:
         return -self.hom + self.ext1 - self.ext2
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(NamedTuple):
     """Gamma_{ij} = S_i . S_j over the Dynkin vertices 1..n."""
 
     type: ExtDynkinType
@@ -73,8 +70,7 @@ def intersection_matrix(t: ExtDynkinType) -> IntersectionMatrix:
     return IntersectionMatrix(t, tuple(range(1, n + 1)), entries)
 
 
-@dataclass(frozen=True)
-class SmoothResolution:
+class SmoothResolution(NamedTuple):
     """A deformation weight mu with all non-extending entries positive,
     the reflection word reaching it from eps_0, and the Gamma = -C
     certificate (Morita invariance carries the Ext data across)."""

@@ -4,7 +4,7 @@ extraction with zero-product verification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import Arrow, ExtDynkinType, build_extended
 from .errors import DomainError, InternalInconsistency
@@ -51,8 +51,7 @@ class RepetitionQuiver:
         return a
 
 
-@dataclass(frozen=True)
-class KnitResult:
+class KnitResult(NamedTuple):
     """The sequence 0 -> V_kernel -> sum_j V_j^(a_j) -> V_target -> 0 and
     the completed knitting diagram it is read from.
 
@@ -181,8 +180,7 @@ def render_pattern(r: KnitResult) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ExtractedMaps:
+class ExtractedMaps(NamedTuple):
     """Maps for the knitted sequence; entries are Hom-space elements.
 
     psi[k]: V_{j_k} -> V_target and phi[k]: V_kernel -> V_{j_k}, indexed by

@@ -16,7 +16,7 @@ basis, rows and provenance and solves only for the tails below each layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import (Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver,
                      build_dynkin, build_extended)
@@ -660,8 +660,7 @@ def hom_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """x = sum_k coef_k * (left_k rho_{v_k} right_k) in the free algebra."""
 
     weight: Weight
@@ -688,8 +687,7 @@ def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
 # zero products of morphism matrices
 
 
-@dataclass(frozen=True)
-class ZeroProductReport:
+class ZeroProductReport(NamedTuple):
     """Outcome of certifying psi . phi = 0 entrywise in Pi^lambda."""
 
     ok: bool

@@ -4,7 +4,7 @@ triangle-equivalence testing at descriptor level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import (DynkinType, ExtDynkinType, VertexPermutation,
                      build_extended, classify_components, nakayama)
@@ -12,8 +12,7 @@ from .errors import DomainError
 from .weights import Weight, ZERO, is_quasi_dominant
 
 
-@dataclass(frozen=True)
-class QLambdaDecomposition:
+class QLambdaDecomposition(NamedTuple):
     """I_lambda = {i >= 1 : lambda_i = 0} split into Dynkin components,
     each with its canonical labelling map."""
 
@@ -23,8 +22,7 @@ class QLambdaDecomposition:
     components: tuple[tuple[DynkinType, tuple[int, ...], dict[int, int]], ...]
 
 
-@dataclass(frozen=True)
-class SingularityDescriptor:
+class SingularityDescriptor(NamedTuple):
     """Multiset of Dynkin types; empty exactly for smooth deformations."""
 
     types: tuple[str, ...]
@@ -33,8 +31,7 @@ class SingularityDescriptor:
         return "[" + ",".join(self.types) + "]"
 
 
-@dataclass(frozen=True)
-class TranslationAction:
+class TranslationAction(NamedTuple):
     """Action of the translation functor on the non-projective vertex
     modules: the Nakayama automorphism on each component."""
 

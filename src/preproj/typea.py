@@ -4,16 +4,15 @@ type-A translation rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import ExtDynkinType
 from .errors import DomainError
 from .weights import (FieldElem, ONE, Weight, ZERO, _check_length, _lattice, _unscale,
-                      dot_delta)
+                      _weight, dot_delta)
 
 
-@dataclass(frozen=True)
-class TypeAPresentation:
+class TypeAPresentation(NamedTuple):
     """Relations of the corner algebra of ~A_n:
 
         xz = (z + shift) x,   yz = (z - shift) y,
@@ -40,7 +39,7 @@ def presentation(n: int, w: Weight) -> TypeAPresentation:
     t = ExtDynkinType("A", n)
     _check_length(t, w)
     d, pairs = _lattice(w)
-    scaled = Weight(tuple(FieldElem(a, b) for a, b in pairs))
+    scaled = _weight(tuple(FieldElem(a, b) for a, b in pairs))
     shift = dot_delta(t, scaled)
     xy: list[FieldElem] = [ONE]
     yx: list[FieldElem] = [ONE]
@@ -57,8 +56,7 @@ def presentation(n: int, w: Weight) -> TypeAPresentation:
                              tuple(_unscale(c.re, c.im, q) for c, q in zip(yx, scale)))
 
 
-@dataclass(frozen=True)
-class TypeASequence:
+class TypeASequence(NamedTuple):
     """0 -> V_k -> V_i (+) V_j -> V_{i+j-k} -> 0 with V_{n+1} read as V_0."""
 
     n: int

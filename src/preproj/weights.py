@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dynkin import ExtDynkinType, cartan, delta_vector
 from .errors import DomainError, InternalInconsistency
@@ -230,15 +230,39 @@ def compare(a: FieldElem, b: FieldElem) -> int:
     return (ka > kb) - (ka < kb)
 
 
-@dataclass(frozen=True)
 class Weight:
-    """A label from the field at each vertex 0..n."""
+    """An immutable label from the field at each vertex 0..n.
 
-    entries: tuple[FieldElem, ...]
+    The public constructor checks that the entries are a tuple of field
+    elements; ``of`` coerces any values, and the weights the program
+    computes are built with the trusted ``_weight``."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[FieldElem, ...]):
+        if entries.__class__ is not tuple or any(x.__class__ is not FieldElem for x in entries):
+            raise DomainError(f"weight entries must be a tuple of field elements, not {entries!r}")
+        _set_entries(self, entries)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"weights are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Weight, (self.entries,))
 
     @staticmethod
     def of(values) -> "Weight":
-        return Weight(tuple(FieldElem.of(v) for v in values))
+        return _weight(tuple(FieldElem.of(v) for v in values))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def __getitem__(self, i: int) -> FieldElem:
         return self.entries[i]
@@ -246,8 +270,24 @@ class Weight:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self):
+        return iter(self.entries)
+
     def __str__(self) -> str:
         return format_weight(self)
+
+    def __repr__(self) -> str:
+        return f"Weight(entries={self.entries!r})"
+
+
+_set_entries = Weight.entries.__set__
+
+
+def _weight(entries: tuple[FieldElem, ...]) -> Weight:
+    """The trusted constructor: entries must be a tuple of field elements."""
+    w = object.__new__(Weight)
+    _set_entries(w, entries)
+    return w
 
 
 def parse_weight(text: str) -> Weight:
@@ -278,7 +318,7 @@ def dot_delta(t: ExtDynkinType, w: Weight) -> FieldElem:
 
 def is_quasi_dominant(t: ExtDynkinType, w: Weight) -> bool:
     _check_length(t, w)
-    return all(w[i] >= ZERO for i in range(1, t.n + 1))
+    return all(x._key() >= (0, 0) for x in w.entries[1:])
 
 
 # per type, the neighbours of each vertex 0..n
@@ -308,7 +348,7 @@ def dual_reflection(t: ExtDynkinType, w: Weight, i: int) -> Weight:
     entries[i] = -wi
     for j in _neighbours(t)[i]:
         entries[j] = entries[j] + wi
-    return Weight(tuple(entries))
+    return _weight(tuple(entries))
 
 
 def apply_reflections(t: ExtDynkinType, w: Weight, seq: list[int]) -> Weight:
@@ -317,8 +357,7 @@ def apply_reflections(t: ExtDynkinType, w: Weight, seq: list[int]) -> Weight:
     return w
 
 
-@dataclass(frozen=True)
-class WeightClass:
+class WeightClass(NamedTuple):
     """Classification flags for O^lambda; singular/smooth require
     quasi-dominance and are None otherwise."""
 
@@ -332,8 +371,12 @@ class WeightClass:
 def classify_weight(t: ExtDynkinType, w: Weight) -> WeightClass:
     _check_length(t, w)
     qd = is_quasi_dominant(t, w)
-    dom = qd and w[0] >= ZERO
-    commutative = dot_delta(t, w) == ZERO
+    dom = qd and w[0]._key() >= (0, 0)
+    # D > 0, so w . delta = 0 exactly when the int dot of D*w with delta is (0, 0)
+    _, keys = _lattice(w)
+    delta = cartan(t).delta
+    commutative = (sum(a * di for (a, _), di in zip(keys, delta)),
+                   sum(b * di for (_, b), di in zip(keys, delta))) == (0, 0)
     singular = smooth = None
     if qd:
         singular = any(not w[i] for i in range(1, t.n + 1))
@@ -392,8 +435,8 @@ def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[in
         return w, fired
     # an entry the game left as it was keeps its object, so the result holds
     # no more new elements than the game changed
-    return Weight(tuple(x if k == k0 else _unscale(*k, d)
-                        for x, k, k0 in zip(w.entries, keys, start))), fired
+    return _weight(tuple(x if k == k0 else _unscale(*k, d)
+                         for x, k, k0 in zip(w.entries, keys, start))), fired
 
 
 def quasi_dominantize(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:

@@ -56,6 +56,8 @@ def test_rejects_bad_ranks():
         ExtDynkinType("E", 9)
     with pytest.raises(DomainError):
         DynkinType("A", 0)
+    with pytest.raises(DomainError):
+        DynkinType("E", 9)
 
 
 def test_parse_and_serialize():

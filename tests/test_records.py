@@ -1,0 +1,113 @@
+"""The record types: the five types with identity or behaviour are immutable
+``__slots__`` classes checked at their constructors, every other result is a
+``typing.NamedTuple``, and importing the cli loads no ``dataclasses``."""
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from preproj import dynkin, fixtures, intersection, knitting, pathalg, singularity, typea
+from preproj.dynkin import Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver, build_extended
+from preproj.errors import DomainError
+from preproj.weights import FieldElem, Weight, WeightClass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_the_cli_imports_no_dataclass_machinery():
+    # -S keeps the site hooks of the interpreter out, so only the package's
+    # own imports are seen
+    code = ("import preproj.cli, sys; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH="src")).stdout
+    assert out == "[]\n"
+
+
+def identity_objects():
+    q = build_extended(ExtDynkinType("D", 5))
+    return [DynkinType("D", 5), ExtDynkinType("D", 5), q.arrow("~a2"), q,
+            Weight.of([1, "1/2", "-i", 0, 0, "2+3i"])]
+
+
+@pytest.mark.parametrize("obj", identity_objects(), ids=lambda o: type(o).__name__)
+def test_identity_types_are_immutable_picklable_classes(obj):
+    assert not isinstance(obj, tuple)
+    slots = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots
+    for attr in slots + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 5)
+    for attr in slots:
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    for z in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert z == obj and hash(z) == hash(obj) and z is not obj
+
+
+def test_reprs_name_the_constructor_fields():
+    assert repr(DynkinType("E", 6)) == "DynkinType(family='E', n=6)"
+    assert repr(ExtDynkinType("A", 2)) == "ExtDynkinType(family='A', n=2)"
+    assert repr(Arrow(3, True, 4, 2)) == "Arrow(index=3, reverse=True, tail=4, head=2)"
+    assert repr(Weight.of([1, 0])) == "Weight(entries=(FieldElem('1'), FieldElem('0')))"
+    q = build_extended(ExtDynkinType("A", 2))
+    assert repr(q) == (f"LabelledDoubleQuiver(vertices=(0, 1, 2), arrows={q.arrows!r}, "
+                       "type=ExtDynkinType(family='A', n=2))")
+
+
+def test_dynkin_types_never_equal_extended_types():
+    assert DynkinType("D", 5) != ExtDynkinType("D", 5)
+    assert len({DynkinType("D", 5), ExtDynkinType("D", 5)}) == 2
+    assert ExtDynkinType("D", 5) == ExtDynkinType("D", 5)
+
+
+def test_arrows_hash_to_their_id_and_compare_by_endpoints():
+    for family, n in (("A", 4), ("D", 6), ("E", 8)):
+        for a in build_extended(ExtDynkinType(family, n)).arrows:
+            assert hash(a) == a.id == a.index << 1 | a.reverse
+            assert a == Arrow(a.index, a.reverse, a.tail, a.head)
+    assert Arrow(0, False, 0, 1) != Arrow(0, False, 0, 2)
+
+
+def test_weights_iterate_over_their_entries_and_check_them():
+    w = Weight.of([1, "1/2", "-i"])
+    assert list(w) == list(w.entries) and len(w) == 3 and w[2] == FieldElem(0, -1)
+    assert Weight(w.entries) == w
+    for bad in ([FieldElem(1)], (1, 2), (FieldElem(1), "2")):
+        with pytest.raises(DomainError):
+            Weight(bad)
+
+
+def quiver_tables(q):
+    return (q.vertices, q.arrows, q.ordinary_arrows, q.adjacency(),
+            {v: q.arrows_from(v) for v in q.vertices}, {a.name: q.arrow(a.name) for a in q.arrows})
+
+
+def test_full_subquiver_gives_back_equal_tables():
+    for family, n in (("A", 5), ("D", 7), ("E", 7)):
+        q = build_extended(ExtDynkinType(family, n))
+        whole = q.full_subquiver(set(q.vertices))
+        assert quiver_tables(whole) == quiver_tables(q) and whole.type is None
+        assert whole != q and whole == LabelledDoubleQuiver(q.vertices, q.arrows)
+        rebuilt = LabelledDoubleQuiver(q.vertices, q.arrows, q.type)
+        assert rebuilt == q and hash(rebuilt) == hash(q)
+
+
+RECORDS = (dynkin.CartanData, dynkin.VertexPermutation, fixtures.SequenceFixture,
+           fixtures.MapFixture, intersection.NeighbourSequence, intersection.ExtTriple,
+           intersection.IntersectionMatrix, intersection.SmoothResolution, knitting.KnitResult,
+           knitting.ExtractedMaps, pathalg.MembershipCertificate, pathalg.ZeroProductReport,
+           singularity.QLambdaDecomposition, singularity.SingularityDescriptor,
+           singularity.TranslationAction, typea.TypeAPresentation, typea.TypeASequence,
+           WeightClass)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_records_are_named_tuples_whose_fields_shadow_nothing(record):
+    # a field named count or index would hide the tuple method of that name
+    assert issubclass(record, tuple) and record._fields
+    assert not {"count", "index"} & set(record._fields)
+    assert not [f for f in record._fields if f.startswith("_")]

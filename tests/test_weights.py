@@ -107,6 +107,38 @@ def test_classify_weight_examples():
     assert not_qd.singular is None and not_qd.smooth is None
 
 
+def field_class(t, w):
+    """classify_weight's flags by their definition, in FieldElem arithmetic."""
+    level = sum((x * di for x, di in zip(w.entries, delta_vector(t))), ZERO)
+    qd = all(x >= ZERO for x in w.entries[1:])
+    singular = any(x == ZERO for x in w.entries[1:]) if qd else None
+    return (level == ZERO, qd, qd and w[0] >= ZERO, singular,
+            None if singular is None else not singular)
+
+
+@pytest.mark.parametrize("t", ALL_EXTENDED, ids=str)
+def test_classify_weight_matches_the_field_definition(t):
+    """Seeded rational and Gaussian weights, each also moved to level zero
+    (w_0 = -sum_{i>=1} delta_i w_i, since delta_0 = 1), made quasi-dominant
+    and made nonnegative, so that every flag takes both values."""
+    rng = random.Random(f"classify-{t}")
+    d = delta_vector(t)
+    seen = set()
+    for kind in ("rational", "gaussian") * 10:
+        w = Weight.of([corpus_entry(rng, kind) if rng.random() < 0.7 else 0
+                       for _ in range(t.n + 1)])
+        flat = Weight((-sum((x * di for x, di in zip(w.entries[1:], d[1:])), ZERO),)
+                      + w.entries[1:])
+        for v in (w, flat, quasi_dominantize(t, w)[0], quasi_dominantize(t, flat)[0],
+                  Weight.of([x if x >= ZERO else -x for x in w.entries])):
+            want = field_class(t, v)
+            assert tuple(classify_weight(t, v)) == want, str(v)
+            assert is_quasi_dominant(t, v) == want[1]
+            seen.add(want)
+    assert {flags[0] for flags in seen} == {True, False}
+    assert {flags[2] for flags in seen} == {True, False}
+
+
 def test_quasi_dominantize_examples():
     t = ExtDynkinType("A", 2)
     w, seq = quasi_dominantize(t, Weight.of([1, -1, 1]))
