@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import fixtures
 from .dynkin import DynkinType, ExtDynkinType, parse_type
@@ -22,6 +23,10 @@ from .singularity import descriptor, q_lambda_decompose, translation_permutation
 from .typea import presentation
 from .weights import (Weight, _check_length, classify_weight, format_field_elem,
                       format_weight, parse_weight)
+
+
+# a subcommand's text output, made only when --format text asks for it
+Lines = Callable[[], list[str]]
 
 
 def to_json(obj) -> str:
@@ -57,7 +62,7 @@ def _weight_for(t: ExtDynkinType, text: str | None) -> Weight:
 # subcommands
 
 
-def cmd_decompose(args) -> tuple[int, dict, list[str]]:
+def cmd_decompose(args) -> tuple[int, dict, Lines]:
     t = _require_extended(parse_type(args.type))
     w = _weight_for(t, args.weights)
     wc = classify_weight(t, w)
@@ -75,17 +80,20 @@ def cmd_decompose(args) -> tuple[int, dict, list[str]]:
         "descriptor": list(descriptor(d).types),
         "translation": {str(v): img for v, img in sorted(pi.items())},
     }
-    lines = [f"type {t}  weights {format_weight(w)}",
-             "class: " + ", ".join(k for k, v in data["class"].items() if v),
-             f"I_lambda = {data['i_lambda']}"]
-    for comp in data["components"]:
-        lines.append(f"  component {comp['type']} on vertices {comp['vertices']}")
-    lines.append("descriptor " + "[" + ",".join(data["descriptor"]) + "]")
-    lines.append("translation " + " ".join(f"{v}->{img}" for v, img in sorted(pi.items())))
+
+    def lines() -> list[str]:
+        out = [f"type {t}  weights {format_weight(w)}",
+               "class: " + ", ".join(k for k, v in data["class"].items() if v),
+               f"I_lambda = {data['i_lambda']}"]
+        for comp in data["components"]:
+            out.append(f"  component {comp['type']} on vertices {comp['vertices']}")
+        out.append("descriptor " + "[" + ",".join(data["descriptor"]) + "]")
+        out.append("translation " + " ".join(f"{v}->{img}" for v, img in sorted(pi.items())))
+        return out
     return 0, data, lines
 
 
-def cmd_knit(args) -> tuple[int, dict, list[str]]:
+def cmd_knit(args) -> tuple[int, dict, Lines]:
     t = _require_extended(parse_type(args.type))
     s = args.S
     r = knit(t, s, args.target)
@@ -107,22 +115,26 @@ def cmd_knit(args) -> tuple[int, dict, list[str]]:
                 "phi": [format_element(x) for x in m.phi],
                 "certificates": [_cert_record(c) for c in m.report.certificates],
             }
-    lines = [f"type {t}  S {sorted(s)}  target {r.target}",
-             f"kernel vertex {r.kernel}",
-             "multiplicities " + " ".join(f"V{j}^{a}" for j, a in sorted(r.multiplicities.items()) if a)]
-    if args.ascii:
-        lines.append(render_pattern(r))
-    if args.maps:
-        maps = data["maps"]
-        if maps["resolved"]:
-            lines.append("psi: " + " | ".join(maps["psi"]))
-            lines.append("phi: " + " | ".join(maps["phi"]))
-        else:
-            lines.append("maps unresolved: no certified psi/phi pair")
+
+    def lines() -> list[str]:
+        mult = sorted(r.multiplicities.items())
+        out = [f"type {t}  S {sorted(s)}  target {r.target}",
+               f"kernel vertex {r.kernel}",
+               "multiplicities " + " ".join(f"V{j}^{a}" for j, a in mult if a)]
+        if args.ascii:
+            out.append(render_pattern(r))
+        if args.maps:
+            maps = data["maps"]
+            if maps["resolved"]:
+                out.append("psi: " + " | ".join(maps["psi"]))
+                out.append("phi: " + " | ".join(maps["phi"]))
+            else:
+                out.append("maps unresolved: no certified psi/phi pair")
+        return out
     return 0, data, lines
 
 
-def cmd_dims(args) -> tuple[int, dict, list[str]]:
+def cmd_dims(args) -> tuple[int, dict, Lines]:
     t = parse_type(args.type)
     if isinstance(t, ExtDynkinType):
         raise DomainError("dims expects a Dynkin type like D4 (no ~ prefix)")
@@ -131,38 +143,43 @@ def cmd_dims(args) -> tuple[int, dict, list[str]]:
     data = {"type": str(t), "graded_dims": list(dims), "total": total,
             "hom_matrix": [list(r) for r in h],
             "vertex_dims": [sum(r) for r in h]}
-    lines = [f"dim Pi({t}) = {total}",
-             "graded dims " + " ".join(str(d) for d in dims),
-             "dim U_i     " + " ".join(str(d) for d in data["vertex_dims"]),
-             "hom matrix:"]
-    for row in h:
-        lines.append("  " + " ".join(f"{x:4d}" for x in row))
+
+    def lines() -> list[str]:
+        out = [f"dim Pi({t}) = {total}",
+               "graded dims " + " ".join(str(d) for d in dims),
+               "dim U_i     " + " ".join(str(d) for d in data["vertex_dims"]),
+               "hom matrix:"]
+        for row in h:
+            out.append("  " + " ".join(f"{x:4d}" for x in row))
+        return out
     return 0, data, lines
 
 
-def cmd_intersect(args) -> tuple[int, dict, list[str]]:
+def cmd_intersect(args) -> tuple[int, dict, Lines]:
     t = _require_extended(parse_type(args.type))
     g = intersection_matrix(t)
     data = {"type": str(t), "vertices": list(g.vertices),
             "gamma": [list(r) for r in g.entries]}
-    lines = [f"intersection matrix of {t} on vertices {list(g.vertices)} (equals -C):"]
-    for row in g.entries:
-        lines.append("  " + " ".join(f"{x:3d}" for x in row))
+
+    def lines() -> list[str]:
+        return ([f"intersection matrix of {t} on vertices {list(g.vertices)} (equals -C):"]
+                + ["  " + " ".join(f"{x:3d}" for x in row) for row in g.entries])
     return 0, data, lines
 
 
-def cmd_resolve(args) -> tuple[int, dict, list[str]]:
+def cmd_resolve(args) -> tuple[int, dict, Lines]:
     t = _require_extended(parse_type(args.type))
     res = smooth_resolution(t)
     data = {"type": str(t), "mu": format_weight(res.mu),
             "reflections": list(res.reflections),
             "gamma": [list(r) for r in res.gamma.entries]}
-    return 0, data, [f"mu = {data['mu']}",
-                     f"reflections (apply left to right from eps_0): {data['reflections']}",
-                     f"gamma = -C confirmed on vertices {list(res.gamma.vertices)}"]
+    return 0, data, lambda: [
+        f"mu = {data['mu']}",
+        f"reflections (apply left to right from eps_0): {data['reflections']}",
+        f"gamma = -C confirmed on vertices {list(res.gamma.vertices)}"]
 
 
-def cmd_presentation(args) -> tuple[int, dict, list[str]]:
+def cmd_presentation(args) -> tuple[int, dict, Lines]:
     t = _require_extended(parse_type(args.type))
     if t.family != "A":
         raise DomainError("presentation is defined for type ~A only")
@@ -171,9 +188,10 @@ def cmd_presentation(args) -> tuple[int, dict, list[str]]:
     data = {"n": p.n, "shift": format_field_elem(p.shift),
             "xy": [format_field_elem(c) for c in p.xy],
             "yx": [format_field_elem(c) for c in p.yx]}
-    return 0, data, [f"xz = (z + {data['shift']}) x,  yz = (z - {data['shift']}) y",
-                     "xy coefficients (ascending): " + " ".join(data["xy"]),
-                     "yx coefficients (ascending): " + " ".join(data["yx"])]
+    return 0, data, lambda: [
+        f"xz = (z + {data['shift']}) x,  yz = (z - {data['shift']}) y",
+        "xy coefficients (ascending): " + " ".join(data["xy"]),
+        "yx coefficients (ascending): " + " ".join(data["yx"])]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +261,7 @@ def _suite_intersection() -> list[tuple[str, bool, str]]:
     return out
 
 
-def cmd_verify(args) -> tuple[int, dict, list[str]]:
+def cmd_verify(args) -> tuple[int, dict, Lines]:
     suites = {"dims": _suite_dims, "knitting": _suite_knitting,
               "maps": lambda: _suite_maps(args.cap), "intersection": _suite_intersection}
     scopes = list(suites) if args.suite == "all" else [args.suite]
@@ -254,8 +272,10 @@ def cmd_verify(args) -> tuple[int, dict, list[str]]:
     failures = sum(1 for _, ok, _ in results if not ok)
     data = {"results": [{"id": fid, "ok": ok, "detail": msg} for fid, ok, msg in results],
             "passed": len(results) - failures, "failed": failures}
-    lines = [f"{'PASS' if ok else 'FAIL'} {fid}: {msg}" for fid, ok, msg in results]
-    lines.append(f"{data['passed']}/{len(results)} fixtures passed")
+
+    def lines() -> list[str]:
+        return ([f"{'PASS' if ok else 'FAIL'} {fid}: {msg}" for fid, ok, msg in results]
+                + [f"{data['passed']}/{len(results)} fixtures passed"])
     return (1 if failures else 0), data, lines
 
 
@@ -326,7 +346,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     """Parse, run and render; returns (exit code, output).
 
     Each subcommand returns (code, data, lines); the output is the
-    canonical JSON of data under --format json and the lines otherwise.
+    canonical JSON of data under --format json and the text that lines()
+    makes otherwise, so JSON output never builds the text.
     """
     parser = build_parser()
     try:
@@ -335,11 +356,12 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return (int(exc.code) if exc.code else 0), ""
     try:
         code, data, lines = args.func(args)
+        output = to_json(data) if args.format == "json" else "\n".join(lines())
     except DomainError as exc:
         return 1, f"error: {exc}"
     except InternalInconsistency as exc:
         return 1, f"internal inconsistency: {exc}"
-    return code, to_json(data) if args.format == "json" else "\n".join(lines)
+    return code, output
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,7 +21,8 @@ class RepetitionQuiver:
     (col+1, u) to (col, v) for every adjacency {u, v}.  Steps inside a copy
     (even column to odd column) carry ordinary arrows, steps between
     copies carry reverse arrows.  Types ~D and ~E have simple edges, so one
-    arrow of the double runs u -> v for each adjacency.
+    arrow of the double runs u -> v for each adjacency.  Built once per type
+    (``_repetition_quiver``).
     """
 
     def __init__(self, t: ExtDynkinType):
@@ -30,12 +31,11 @@ class RepetitionQuiver:
         self.type = t
         self.quiver = build_extended(t)
         self.sinks = self.quiver.sink_class()
+        self.sources = frozenset(self.quiver.vertices) - self.sinks
         self.steps = {(a.tail, a.head): a for a in self.quiver.arrows}
 
     def column_class(self, col: int) -> frozenset[int]:
-        if col % 2 == 1:
-            return self.sinks
-        return frozenset(self.quiver.vertices) - self.sinks
+        return self.sinks if col % 2 == 1 else self.sources
 
     def column_of(self, v: int, base: int) -> int:
         """Smallest column >= base holding vertex v."""
@@ -49,6 +49,16 @@ class RepetitionQuiver:
         if a.reverse == (col_from % 2 == 0):
             raise InternalInconsistency(f"arrow {a} does not step out of column {col_from}")
         return a
+
+
+_REPETITION: dict[ExtDynkinType, RepetitionQuiver] = {}
+
+
+def _repetition_quiver(t: ExtDynkinType) -> RepetitionQuiver:
+    rq = _REPETITION.get(t)
+    if rq is None:
+        rq = _REPETITION[t] = RepetitionQuiver(t)
+    return rq
 
 
 class KnitResult(NamedTuple):
@@ -104,7 +114,7 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
     the run stops when a -1 appears.  A value never changes once written
     and the seeded cells are 0 or 1, so each is checked as it is written.
     """
-    rq = RepetitionQuiver(t)
+    rq = _repetition_quiver(t)
     s = frozenset(int(v) for v in s_vertices)
     if 0 not in s:
         raise DomainError("S must contain the extending vertex 0")
@@ -226,9 +236,9 @@ def _pattern_walk(r: KnitResult, rq: RepetitionQuiver, start: tuple[int, int],
     return walk
 
 
-def _reverse_path(p: Path) -> Path:
-    arrows = tuple(a.reversed_arrow() for a in reversed(p.arrows))
-    return Path(p.target, arrows)
+def _reverse_path(rq: RepetitionQuiver, p: Path) -> Path:
+    """p walked backwards, on the quiver's own arrows."""
+    return Path(p.target, tuple(rq.steps[(a.head, a.tail)] for a in reversed(p.arrows)))
 
 
 def _leading(x: PathElement) -> FieldElem:
@@ -241,14 +251,15 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
 
     psi_k reverses the first pattern walk from the k-th circled 1-cell to
     the box.  phi_k ranges over the weight-0 basis of e_{j_k} Pi e_kernel in
-    degree kcol - col_k, and psi.phi = 0 is a linear system in its
-    coefficients, whose solutions are the null rows of ``eliminate``.  The
-    maps are resolved when the solutions form a line whose phi entries are
+    degree kcol - col_k, read off the summand e_{j_k} Pi.  psi.phi lies in
+    the summand of the target, and psi.phi = 0 is a linear system in the
+    coefficients of phi, whose solutions are the null rows of
+    ``eliminate``.  The maps are resolved when the solutions form a line whose phi entries are
     all nonzero; the solution is scaled so that the leading term of phi_0 is
     1, each (psi_k, phi_k) with a negative leading phi coefficient is
     negated, and the product is certified.
     """
-    rq = RepetitionQuiver(r.type)
+    rq = _repetition_quiver(r.type)
     summands = tuple(sorted((cell for cell, val in r.values.items()
                              if val == 1 and cell[1] in r.s_vertices),
                             key=lambda cell: (cell[1], cell[0])))
@@ -256,18 +267,21 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
         return ExtractedMaps(None, None, None)
 
     w0 = Weight.of([0] * (r.type.n + 1))
-    model = model_for(r.type, w0)
+    models = model_for(r.type, w0)
     kcol, kvert = r.kernel_cell
     psi: list[PathElement] = []
     unknowns: list[tuple[int, Path]] = []
     for k, cell in enumerate(summands):
-        psi.append(PathElement.of_path(_reverse_path(_pattern_walk(r, rq, cell, r.boxed))))
+        psi.append(PathElement.of_path(_reverse_path(rq, _pattern_walk(r, rq, cell, r.boxed))))
         length = kcol - cell[0]
+        model = models[cell[1]]
         model.extend_to(length)
         for bid in model.layers[length]:
             b = model.basis[bid]
-            if b.source == cell[1] and b.target == kvert:
+            if b.target == kvert:
                 unknowns.append((k, b))
+    # every psi entry starts at the target, so the products lie in its summand
+    model = models[r.target]
     columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
     _, _, solutions = eliminate(columns)
     if len(solutions) != 1:

@@ -1,18 +1,23 @@
 """Exact arithmetic in path algebras of double quivers modulo the deformed
 preprojective relations.
 
-The workhorse is a layer-by-layer normal-form construction of Pi^lambda:
+The workhorse is a layer-by-layer normal-form construction of Pi^lambda,
+one projective summand e_v Pi^lambda (the paths that start at v) at a time:
 filtering by path length, each new layer is presented by symbols
 (basis element, arrow) modulo one relation row per lower basis element, and
-one exact elimination, ``eliminate``, yields multiplication tables.  Because
+one exact elimination, ``eliminate``, yields multiplication tables.  Neither
+a symbol nor a relation row c.rho_w leaves the source of c, so a summand is
+built on its own, and ``model_for`` hands out one summand per vertex, each
+built only as far as the queries in it need.  Because
 the associated graded algebra of Pi^lambda is the undeformed Pi, a query
 element lies in the relation ideal exactly when its normal form vanishes,
 and an explicit membership certificate is read off the stored reduced rows
 by the same clearing step (``_clear``); ``knitting`` takes its nullspaces
 from ``eliminate``'s null rows.
 The same fact makes the symbol elimination independent of lambda: each
-quiver's weight-0 model eliminates once, and a deformed model reuses its
-basis, rows and provenance and solves only for the tails below each layer.
+weight-0 summand eliminates once, and the deformed summand at the same
+vertex reuses its basis, rows and provenance and solves only for the tails
+below each layer.
 """
 from __future__ import annotations
 
@@ -268,39 +273,42 @@ def relation_set(q: LabelledDoubleQuiver, weight: dict[int, FieldElem]) -> dict[
 
 
 class QuotientModel:
-    """Filtered basis and multiplication tables for Pi^lambda of a double
-    quiver, built one path-length layer at a time.
+    """Filtered basis and multiplication tables for one projective summand
+    e_v Pi^lambda of a double quiver, the paths that start at v, built one
+    path-length layer at a time.  Basis element 0 is the trivial path e_v.
 
     Every symbol entry of a relation row comes from the top-degree part of
     the tables, which does not depend on lambda (gr Pi^lambda = Pi).  So the
     basis, the raw relation rows and their echelon form belong to the
-    weight-0 model of the quiver, and a model at a nonzero weight shares
-    them and solves only for the tails below each new layer."""
+    weight-0 summand at v, and a summand at a nonzero weight shares them
+    and solves only for the tails below each new layer."""
 
-    def __init__(self, quiver: LabelledDoubleQuiver, weight: dict[int, FieldElem]):
+    def __init__(self, quiver: LabelledDoubleQuiver, source: int,
+                 rels: dict[int, PathElement], graded: "QuotientModel | None"):
         self.quiver = quiver
-        self.weight = {v: FieldElem.of(weight.get(v, 0)) for v in quiver.vertices}
-        self.rels = relation_set(quiver, self.weight)
+        self.source = source
+        # rho_w for every vertex w, shared by the summands of one algebra
+        self.rels = rels
         # (basis id, arrow id) -> normal form of basis element times arrow
         self.mul: dict[tuple[int, int], dict[int, FieldElem]] = {}
         # the nonzero parts of mul below the top degree (none at weight 0)
         self.low: dict[tuple[int, int], dict[int, FieldElem]] = {}
         self._nf_cache: dict[Path, dict[int, FieldElem]] = {}
-        # the weight-0 model of the quiver, or None when this is that model
-        self.graded = _graded_model(quiver) if any(self.weight.values()) else None
-        if self.graded is not None:
+        # the weight-0 summand at the same vertex, or None when this is it
+        self.graded = graded
+        if graded is not None:
             # basis element i is its representative path; its degree is the length
-            self.basis: list[Path] = self.graded.basis
+            self.basis: list[Path] = graded.basis
             # per degree: the raw (c, v) relation rows, and their reduced rows
             # with provenance over them, used to build layers and certificates
-            self.rows: list[list[tuple[int, int]]] = self.graded.rows
-            self.echelon: list[dict] = self.graded.echelon
-            self.layers: list[list[int]] = [self.graded.layers[0]]
+            self.rows: list[list[tuple[int, int]]] = graded.rows
+            self.echelon: list[dict] = graded.echelon
+            self.layers: list[list[int]] = [graded.layers[0]]
         else:
-            self.basis = [trivial_path(v) for v in quiver.vertices]
+            self.basis = [trivial_path(source)]
             self.rows = [[]]
             self.echelon = [{}]
-            self.layers = [list(range(len(self.basis)))]
+            self.layers = [[0]]
 
     # -- layer construction -------------------------------------------------
 
@@ -402,8 +410,10 @@ class QuotientModel:
     def nf_path(self, p: Path) -> dict[int, FieldElem]:
         if p in self._nf_cache:
             return self._nf_cache[p]
+        if p.source != self.source:
+            raise DomainError(f"path {p} does not lie in the summand of vertex {self.source}")
         self.extend_to(len(p))
-        vec = {self.layers[0][self.quiver.vertices.index(p.source)]: ONE}
+        vec = {0: ONE}
         done = trivial_path(p.source)
         for a in p.arrows:
             done = done.then(a)
@@ -605,58 +615,65 @@ def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[dict],
 # ---------------------------------------------------------------------------
 # model cache and public operations
 
-# keyed by (t, weight entries 0..n) for extended and by (t,) for Dynkin types
-_MODELS: dict[tuple, QuotientModel] = {}
+# keyed by (t, weight entries 0..n) for extended and by (t,) for Dynkin
+# types; each entry holds the summand e_v Pi^lambda of every vertex v
+_MODELS: dict[tuple, dict[int, QuotientModel]] = {}
 
 
-def _graded_model(q: LabelledDoubleQuiver) -> QuotientModel:
-    """The weight-0 model whose elimination every deformation of q shares."""
-    if q.type is None:
-        return QuotientModel(q, {})
-    return model_for(q.type, Weight.of([0] * len(q.vertices)))
+def _summands(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
+              graded: dict[int, QuotientModel] | None) -> dict[int, QuotientModel]:
+    """One summand per vertex, all on one relation set; graded holds the
+    weight-0 summands whose elimination a deformation shares."""
+    rels = relation_set(q, weight)
+    return {v: QuotientModel(q, v, rels, None if graded is None else graded[v])
+            for v in q.vertices}
 
 
-def model_for(t: ExtDynkinType, w: Weight) -> QuotientModel:
+def model_for(t: ExtDynkinType, w: Weight) -> dict[int, QuotientModel]:
+    """The summands e_v Pi^lambda of Pi^lambda(~Q), by vertex; a summand
+    builds its layers when a query in it first needs them."""
     _check_length(t, w)
     key = (t, tuple(FieldElem.of(w[i]) for i in range(t.n + 1)))
-    if key not in _MODELS:
-        _MODELS[key] = QuotientModel(build_extended(t), dict(enumerate(key[1])))
-    return _MODELS[key]
+    models = _MODELS.get(key)
+    if models is None:
+        graded = model_for(t, Weight.of([0] * (t.n + 1))) if any(key[1]) else None
+        models = _MODELS[key] = _summands(build_extended(t), dict(enumerate(key[1])), graded)
+    return models
 
 
-def model_for_dynkin(t: DynkinType) -> QuotientModel:
+def model_for_dynkin(t: DynkinType) -> dict[int, QuotientModel]:
     key = (t,)
     if key not in _MODELS:
-        _MODELS[key] = QuotientModel(build_dynkin(t), {})
+        _MODELS[key] = _summands(build_dynkin(t), {}, None)
     return _MODELS[key]
 
 
 def graded_dims_pi(t: DynkinType) -> tuple[tuple[int, ...], int]:
-    """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total."""
-    model = model_for_dynkin(t)
+    """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total: the sums
+    of the summands' layer dimensions."""
     guard = 2 * t.coxeter_number + 2
-    dims = []
-    for d in range(guard + 1):
-        dim = model.layer_dims(d)
-        if dim == 0:
-            break
-        dims.append(dim)
-    else:
-        raise InternalInconsistency(f"Pi({t}) did not terminate by degree {guard}")
+    dims = [0] * (guard + 1)
+    for model in model_for_dynkin(t).values():
+        for d in range(guard + 1):
+            dim = model.layer_dims(d)
+            if dim == 0:
+                break
+            dims[d] += dim
+        else:
+            raise InternalInconsistency(f"Pi({t}) did not terminate by degree {guard}")
+    while not dims[-1]:
+        dims.pop()
     return tuple(dims), sum(dims)
 
 
 def hom_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """H_ij = dim e_i Pi(Q) e_j over the canonical vertex labels 1..n."""
-    model = model_for_dynkin(t)
-    dims, _ = graded_dims_pi(t)
-    top = len(dims) - 1
-    n = t.n
-    out = [[0] * n for _ in range(n)]
-    for d in range(top + 1):
-        for bid in model.layers[d]:
-            b = model.basis[bid]
-            out[b.source - 1][b.target - 1] += 1
+    """H_ij = dim e_i Pi(Q) e_j over the canonical vertex labels 1..n: the
+    basis of summand i counted by target."""
+    graded_dims_pi(t)
+    out = [[0] * t.n for _ in range(t.n)]
+    for i, model in model_for_dynkin(t).items():
+        for b in model.basis:
+            out[i - 1][b.target - 1] += 1
     return tuple(tuple(r) for r in out)
 
 
@@ -671,7 +688,8 @@ class MembershipCertificate(NamedTuple):
 def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement) -> MembershipCertificate | None:
     """A certificate that x lies in the Pi^lambda relation ideal, or None
     when it does not; the layered engine is complete, so no cap is needed."""
-    terms = model_for(t, w).certificate(x)
+    models = model_for(t, w)
+    terms = models[x.source].certificate(x) if x else []
     return None if terms is None else MembershipCertificate(w, x, tuple(terms))
 
 

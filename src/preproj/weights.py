@@ -41,7 +41,8 @@ class FieldElem:
     constructor checks that each part is an exact rational and brings it to
     that form; arithmetic builds its already canonical results with the
     trusted ``_make``, and returns an operand, or its negative, for a zero
-    term of a sum or a factor of 1 or -1.  The total order is lexicographic
+    term of a sum or a factor of 1 or -1; a negative that is 1 or -1 is the
+    shared ``ONE`` or ``MINUS_ONE``.  The total order is lexicographic
     on (re, im): it extends the order on the rationals, is translation
     invariant, and every element is below some integer, which is all the
     theory needs from it.
@@ -84,7 +85,7 @@ class FieldElem:
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElem":
-        return _make(-self.re, -self.im)
+        return _negative(self.re, self.im)
 
     def __sub__(self, other) -> "FieldElem":
         o = other if other.__class__ is FieldElem else FieldElem.of(other)
@@ -100,6 +101,8 @@ class FieldElem:
     def __mul__(self, other) -> "FieldElem":
         if other.__class__ is not FieldElem:
             if isinstance(other, int):
+                if other == -1:
+                    return _negative(self.re, self.im)
                 return _make(_canon(self.re * other), _canon(self.im * other))
             other = FieldElem.of(other)
         sr, si, o_r, oi = self.re, self.im, other.re, other.im
@@ -107,12 +110,12 @@ class FieldElem:
             if o_r == 1:
                 return self
             if o_r == -1:
-                return _make(-sr, -si)
+                return _negative(sr, si)
         if not si:
             if sr == 1:
                 return other
             if sr == -1:
-                return _make(-o_r, -oi)
+                return _negative(o_r, oi)
             if not oi:
                 return _make(_canon(sr * o_r))
         return _make(_canon(sr * o_r - si * oi), _canon(sr * oi + si * o_r))
@@ -176,8 +179,17 @@ def _make(re: int | Fraction, im: int | Fraction = 0) -> FieldElem:
     return x
 
 
+def _negative(re: int | Fraction, im: int | Fraction) -> FieldElem:
+    """-(re + im*i) for canonical parts; a result of 1 or -1 is the shared
+    ONE or MINUS_ONE."""
+    if not im and (re == 1 or re == -1):
+        return ONE if re == -1 else MINUS_ONE
+    return _make(-re, -im)
+
+
 ZERO = FieldElem()
 ONE = FieldElem(1)
+MINUS_ONE = FieldElem(-1)
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _ELEM_RE = re.compile(

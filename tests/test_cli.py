@@ -245,3 +245,19 @@ def test_subcommand_argv_fuzz(capsys):
         assert "Traceback" not in out, argv
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_json_output_builds_no_text(monkeypatch):
+    # the text lines, and the pattern grid among them, are made only for text
+    calls = []
+
+    def grid(r):
+        calls.append(r)
+        return "grid"
+
+    monkeypatch.setattr(cli, "render_pattern", grid)
+    argv = ["knit", "--type", "~D5", "--S", "0,5", "--target", "4", "--ascii"]
+    assert run(*argv, "--format", "json") == run(*argv[:-1], "--format", "json")
+    assert calls == []
+    code, out = run(*argv)
+    assert code == 0 and out.splitlines()[3] == "grid" and len(calls) == 1

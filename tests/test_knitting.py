@@ -192,8 +192,8 @@ def test_map_corpus_is_frozen(corpus_maps):
 def test_corpus_phi_entries_are_nonzero(corpus_maps):
     # a zero phi entry would make psi.phi = 0 trivially
     for f, m in corpus_maps:
-        model = model_for(f.type, Weight.of([0] * (f.type.n + 1)))
-        assert all(model.nf(x) != {} for x in m.phi), f.fixture_id
+        models = model_for(f.type, Weight.of([0] * (f.type.n + 1)))
+        assert all(models[x.source].nf(x) != {} for x in m.phi), f.fixture_id
 
 
 # the phi entries printed for E8-36 and E8-39 before the linear solve, and

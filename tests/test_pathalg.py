@@ -416,7 +416,11 @@ def test_relation_set_matches_oracle(t):
         w = Weight.of(entries)
         expected = oracle_relations(t, w)
         assert relation_set(q, {v: w[v] for v in q.vertices}) == expected
-        assert model_for(t, w).rels == expected
+        models = model_for(t, w)
+        assert sorted(models) == list(q.vertices)
+        for v, m in models.items():
+            # every summand reads the one relation set of its algebra
+            assert m.source == v and m.rels is models[0].rels and m.rels == expected
 
 
 def test_filtered_dims_match_graded_dims():
@@ -425,8 +429,9 @@ def test_filtered_dims_match_graded_dims():
     m0 = model_for(t, Weight.of([0] * 5))
     me = model_for(t, epsilon0(t))
     mg = model_for(t, Weight.of([1, "1/2", 0, "2/3", 5]))
-    dims = [[m.layer_dims(d) for d in range(9)] for m in (m0, me, mg)]
-    assert dims[0] == dims[1] == dims[2]
+    for v in range(5):
+        dims = [[m[v].layer_dims(d) for d in range(9)] for m in (m0, me, mg)]
+        assert dims[0] == dims[1] == dims[2]
 
 
 def test_deformed_models_share_the_weight0_elimination():
@@ -434,13 +439,16 @@ def test_deformed_models_share_the_weight0_elimination():
     m0 = model_for(t, Weight.of([0] * 6))
     deformed = [model_for(t, epsilon0(t)), model_for(t, Weight.of([1, "1/2", 0, "2/3", 5, -1])),
                 model_for(t, Weight.of(["1+i", 0, "-i", 0, 0, 2]))]
-    deformed[1].extend_to(6)
-    deformed[2].extend_to(3)
-    assert m0.graded is None and m0.max_degree() >= 6
-    for m in deformed:
-        assert m.graded is m0
-        assert m.basis is m0.basis and m.rows is m0.rows and m.echelon is m0.echelon
-        assert all(m.layers[d] is m0.layers[d] for d in range(m.max_degree() + 1))
+    for v in range(6):
+        deformed[1][v].extend_to(6)
+        deformed[2][v].extend_to(3)
+        assert m0[v].graded is None and m0[v].max_degree() >= 6
+        for m in deformed:
+            m = m[v]
+            assert m.graded is m0[v]
+            assert m.basis is m0[v].basis and m.rows is m0[v].rows
+            assert m.echelon is m0[v].echelon
+            assert all(m.layers[d] is m0[v].layers[d] for d in range(m.max_degree() + 1))
     zero_models = [k for k in pathalg._MODELS if k[0] == t and not any(k[1])]
     assert zero_models == [(t, (ZERO,) * 6)]
 
@@ -468,7 +476,66 @@ def test_model_for_rejects_a_weight_of_the_wrong_length(entries):
 def test_model_for_dynkin_is_one_model_per_type():
     d4 = pathalg.model_for_dynkin(DynkinType("D", 4))
     assert pathalg.model_for_dynkin(DynkinType("D", 4)) is d4
+    assert [(v, m.source) for v, m in d4.items()] == [(v, v) for v in range(1, 5)]
     assert pathalg.model_for_dynkin(DynkinType("D", 5)) is not d4
+
+
+def test_a_query_builds_only_the_summand_it_lives_in(monkeypatch):
+    # an element from vertex s builds layers in summand s, at its own weight
+    # and at weight 0, whose elimination it shares, and in no other summand
+    monkeypatch.setattr(pathalg, "_MODELS", {})
+    t = ExtDynkinType("E", 8)
+    q = build_extended(t)
+    w = Weight.of([1, "1/2", 0, "2/3", 5, -1, 0, "1+i", 2])
+    zero = Weight.of([0] * 9)
+    s = 5
+    rho = relation_set(q, dict(enumerate(w.entries)))[s]
+    x = multiply(rho, PathElement.of_path(parse_path(q, "~a4.a3")))
+    assert x.source == s and x.degree == 4
+    cert = ideal_member(t, w, x)
+    assert cert is not None and check_certificate(t, cert)
+    with pytest.raises(DomainError, match="does not lie in the summand of vertex 0"):
+        model_for(t, w)[0].nf(x)
+    keys = {(t, tuple(w.entries)), (t, (ZERO,) * 9)}
+    assert set(pathalg._MODELS) == keys
+    for models in (model_for(t, w), model_for(t, zero)):
+        assert models[s].max_degree() >= x.degree
+        assert [v for v, m in models.items() if m.max_degree() > 0] == [s]
+    assert set(pathalg._MODELS) == keys
+
+
+def test_summands_built_in_any_order_agree(monkeypatch):
+    # basis paths, normal forms and certificates of each summand do not
+    # depend on which summands, or which weight, were built before it
+    t = ExtDynkinType("D", 5)
+    q = build_extended(t)
+    zero, w = Weight.of([0] * 6), Weight.of(["1+i", 0, "-1/2", 0, 3, 1])
+    paths = paths_by_degree(q, 4)
+    rels = {str(u): relation_set(q, dict(enumerate(u.entries))) for u in (zero, w)}
+
+    def record(order):
+        monkeypatch.setattr(pathalg, "_MODELS", {})
+        out = {}
+        for u, v in order:
+            m = model_for(t, u)[v]
+            m.extend_to(6)
+            basis = [str(b) for b in m.basis if len(b) <= 6]
+            nfs = [(str(p), [(k, str(c)) for k, c in m.nf_path(p).items()])
+                   for d in range(5) for p in paths[d] if p.source == v]
+            a = q.arrows_from(v)[0]
+            x = multiply(PathElement.of_path(Path(v, (a,))), rels[str(u)][a.head])
+            cert = ideal_member(t, u, x)
+            assert check_certificate(t, cert)
+            out[(str(u), v)] = (basis, nfs, [(str(c), str(l), r, str(g))
+                                             for c, l, r, g in cert.terms])
+        return out
+
+    ascending = [(u, v) for u in (zero, w) for v in q.vertices]
+    first = record(ascending)
+    assert first == record(ascending[::-1])
+    shuffled = list(ascending)
+    random.Random(5).shuffle(shuffled)
+    assert first == record(shuffled)
 
 
 @pytest.mark.parametrize("t", [ExtDynkinType("A", 2), ExtDynkinType("A", 3),
@@ -486,9 +553,10 @@ def test_deformed_normal_forms_against_brute_force(t):
                        for x in entries]
         w = Weight.of(entries)
         weight = {v: w[v] for v in q.vertices}
-        model = model_for(t, w)
+        models = model_for(t, w)
         for d in range(5):
             for p in paths[d]:
+                model = models[p.source]
                 rem = {p: ONE}
                 for bid, c in model.nf_path(p).items():
                     rep = model.basis[bid]

@@ -11,7 +11,7 @@ from oracles import (as_pair, fuzz_text, pair_product, reference_fire, reference
                      schedler_configuration)
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
-from preproj.weights import (FieldElem, ONE, Weight, ZERO, _candidate_positives,
+from preproj.weights import (FieldElem, MINUS_ONE, ONE, Weight, ZERO, _candidate_positives,
                              _check_length, apply_reflections,
                              classify_weight, compare, dot_delta,
                              dual_reflection, epsilon0, format_field_elem,
@@ -383,6 +383,24 @@ def test_field_elem_is_immutable_and_checks_its_parts():
             FieldElem(bad)
         with pytest.raises(DomainError):
             FieldElem(1, bad)
+
+
+def test_negatives_of_one_are_the_shared_constants():
+    # a product by -1 or a negation whose result is 1 or -1 builds nothing
+    assert MINUS_ONE == FieldElem(-1) and type(MINUS_ONE.re) is int
+    assert -ONE is MINUS_ONE and -MINUS_ONE is ONE
+    assert -FieldElem(1) is MINUS_ONE and -FieldElem(Fraction(-2, 2)) is ONE
+    for x, want in ((ONE, MINUS_ONE), (FieldElem(1), MINUS_ONE),
+                    (MINUS_ONE, ONE), (FieldElem(-1), ONE)):
+        assert x * MINUS_ONE is want and MINUS_ONE * x is want
+        assert x * FieldElem(-1) is want and x * -1 is want and -1 * x is want
+    # every other negative keeps its value and canonical parts
+    for x in (ZERO, FieldElem(2), FieldElem(Fraction(1, 2)), FieldElem(0, 1),
+              FieldElem(1, 1), FieldElem(-1, Fraction(1, 3)), FieldElem(Fraction(-3, 2), -1)):
+        want = (-as_pair(x)[0], -as_pair(x)[1])
+        for got in (-x, x * -1, -1 * x, x * MINUS_ONE, MINUS_ONE * x):
+            assert_canonical(got)
+            assert as_pair(got) == want
 
 
 def test_field_elem_integral_parts_compare_and_hash_alike():
