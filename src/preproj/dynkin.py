@@ -6,6 +6,7 @@ full subquivers into canonical Dynkin pieces.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency
@@ -13,6 +14,12 @@ from .errors import DomainError, InternalInconsistency
 FAMILIES = ("A", "D", "E")
 
 COXETER_NUMBERS = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get}
+
+
+# the largest rank of types A and D: the isomorphism search and the
+# composition generator recurse once per vertex, and a ~D_n pattern walk once
+# per column, up to 8n - 4 of them, all below Python's recursion limit of 1000
+MAX_RANK = 100
 
 
 def _check_rank(family: str, n: int, extended: bool) -> None:
@@ -29,43 +36,63 @@ def _check_rank(family: str, n: int, extended: bool) -> None:
             raise DomainError(f"type E requires n in 6..8, got {n}")
     else:
         raise DomainError(f"unknown family {family!r}")
+    if n > MAX_RANK:
+        raise DomainError(f"type {family} supports n <= {MAX_RANK}, got {n}")
 
 
-class _RankedType:
-    """A family letter and a rank, checked at the constructor; immutable.
+class Frozen:
+    """An immutable value: the base of every identity type.
 
-    Equality and the hash are on (family, n) within one class, so a Dynkin
-    type never equals the extended type of the same family and rank."""
+    A subclass names in ``_args`` the slots its constructor takes, and its
+    constructor sets each slot once with ``_set``.  Equality holds within
+    one class, on the ``_args``, and the hash is theirs; pickling and
+    copying call the constructor on them, and the repr names them."""
 
-    __slots__ = ("family", "n")
-    _extended = False
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
 
-    def __init__(self, family: str, n: int):
-        _check_rank(family, n, self._extended)
-        _set_family(self, family)
-        _set_n(self, n)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # _values(x) is the tuple of x's _args, read in one C call: types
+        # key every cache, so their hash and equality are on the hot path
+        get = attrgetter(*cls._args)
+        cls._values = staticmethod(get if len(cls._args) > 1 else lambda x: (get(x),))
+
+    def _set(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *_):
-        raise AttributeError(f"Dynkin types are immutable: cannot set {name!r}")
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot set {name!r}")
 
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return (self.__class__, (self.family, self.n))
+        return (self.__class__, self._values(self))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.family == other.family and self.n == other.n
+        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash((self.family, self.n))
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(family={self.family!r}, n={self.n!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{self.__class__.__name__}({fields})"
 
 
-_set_family, _set_n = _RankedType.family.__set__, _RankedType.n.__set__
+class _RankedType(Frozen):
+    """A family letter and a rank, checked at the constructor.  A Dynkin
+    type never equals the extended type of the same family and rank."""
+
+    __slots__ = _args = ("family", "n")
+    _extended = False
+
+    def __init__(self, family: str, n: int):
+        _check_rank(family, n, self._extended)
+        self._set(family=family, n=n)
 
 
 class DynkinType(_RankedType):
@@ -109,50 +136,28 @@ def parse_type(text: str) -> ExtDynkinType | DynkinType:
     return ExtDynkinType(family, n) if extended else DynkinType(family, n)
 
 
-class Arrow:
+class Arrow(Frozen):
     """One arrow of a double quiver: a<k> (ordinary) or ~a<k> (reverse).
 
-    Immutable.  Equality is on (index, reverse, tail, head); ``id`` is
-    unique within a quiver, is the hash and keys every table, and ``name``
-    is for print and parse."""
+    Equality is on (index, reverse, tail, head); ``id`` is unique within a
+    quiver, is the hash and keys every table, and ``name`` is for print and
+    parse."""
 
     __slots__ = ("index", "reverse", "tail", "head", "id", "name")
+    _args = __slots__[:4]
 
     def __init__(self, index: int, reverse: bool, tail: int, head: int):
-        values = (index, reverse, tail, head, index << 1 | reverse,
-                  ("~a" if reverse else "a") + str(index))
-        for set_slot, value in zip(_ARROW_SLOTS, values):
-            set_slot(self, value)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"arrows are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (Arrow, (self.index, self.reverse, self.tail, self.head))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        return (self.index == other.index and self.reverse == other.reverse
-                and self.tail == other.tail and self.head == other.head)
+        self._set(index=index, reverse=reverse, tail=tail, head=head, id=index << 1 | reverse,
+                  name=("~a" if reverse else "a") + str(index))
 
     def __hash__(self) -> int:
         return self.id
-
-    def __repr__(self) -> str:
-        return (f"Arrow(index={self.index!r}, reverse={self.reverse!r}, "
-                f"tail={self.tail!r}, head={self.head!r})")
 
     def reversed_arrow(self) -> "Arrow":
         return Arrow(self.index, not self.reverse, self.head, self.tail)
 
     def __str__(self) -> str:
         return self.name
-
-
-_ARROW_SLOTS = tuple(getattr(Arrow, s).__set__ for s in Arrow.__slots__)
 
 
 def _ordinary_arrows(t: ExtDynkinType) -> list[tuple[int, int, int]]:
@@ -177,14 +182,15 @@ def _ordinary_arrows(t: ExtDynkinType) -> list[tuple[int, int, int]]:
     return [(0, 0, 1), (1, 2, 1), (2, 2, 3), (3, 4, 3), (4, 4, 5), (5, 6, 5), (6, 6, 7), (8, 8, 5)]
 
 
-class LabelledDoubleQuiver:
+class LabelledDoubleQuiver(Frozen):
     """The double of a quiver: each ordinary arrow a<k> has a reverse ~a<k>.
 
-    Immutable.  The constructor builds the name, out-arrow and neighbour
-    tables; equality and the hash are on (vertices, arrows, type)."""
+    The constructor builds the name, out-arrow and neighbour tables;
+    equality and the hash are on (vertices, arrows, type)."""
 
     __slots__ = ("vertices", "arrows", "type", "ordinary_arrows", "_by_name", "_out",
                  "_neighbours")
+    _args = __slots__[:3]
 
     def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...],
                  type: ExtDynkinType | None = None):
@@ -195,32 +201,10 @@ class LabelledDoubleQuiver:
                 raise InternalInconsistency("duplicate arrow labels")
             by_name[a.name] = a
             out.setdefault(a.tail, []).append(a)
-        values = (vertices, arrows, type, tuple(a for a in arrows if not a.reverse), by_name,
-                  {v: tuple(vs) for v, vs in out.items()},
-                  {v: tuple(sorted({a.head for a in vs})) for v, vs in out.items()})
-        for set_slot, value in zip(_QUIVER_SLOTS, values):
-            set_slot(self, value)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"quivers are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (LabelledDoubleQuiver, (self.vertices, self.arrows, self.type))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LabelledDoubleQuiver:
-            return NotImplemented
-        return (self.vertices == other.vertices and self.arrows == other.arrows
-                and self.type == other.type)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows, self.type))
-
-    def __repr__(self) -> str:
-        return (f"LabelledDoubleQuiver(vertices={self.vertices!r}, arrows={self.arrows!r}, "
-                f"type={self.type!r})")
+        self._set(vertices=vertices, arrows=arrows, type=type,
+                  ordinary_arrows=tuple(a for a in arrows if not a.reverse), _by_name=by_name,
+                  _out={v: tuple(vs) for v, vs in out.items()},
+                  _neighbours={v: tuple(sorted({a.head for a in vs})) for v, vs in out.items()})
 
     def arrow(self, name: str) -> Arrow:
         a = self._by_name.get(name)
@@ -255,10 +239,6 @@ class LabelledDoubleQuiver:
         keep = set(keep)
         arrows = tuple(a for a in self.arrows if a.tail in keep and a.head in keep)
         return LabelledDoubleQuiver(tuple(sorted(keep)), arrows, type=None)
-
-
-_QUIVER_SLOTS = tuple(getattr(LabelledDoubleQuiver, s).__set__
-                      for s in LabelledDoubleQuiver.__slots__)
 
 
 # one shared frozen quiver per type, built on first use

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dynkin import (Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver,
+from .dynkin import (Arrow, DynkinType, ExtDynkinType, Frozen, LabelledDoubleQuiver,
                      build_dynkin, build_extended)
 from .errors import DomainError, InternalInconsistency
 from .weights import FieldElem, Weight, ZERO, ONE, _check_length
@@ -32,7 +32,7 @@ from .weights import FieldElem, Weight, ZERO, ONE, _check_length
 # paths and path elements
 
 
-class Path:
+class Path(Frozen):
     """An immutable composable arrow sequence, read left to right; () is
     trivial.
 
@@ -44,6 +44,7 @@ class Path:
     so an extension extends its prefix's hash."""
 
     __slots__ = ("source", "arrows", "target", "_hash")
+    _args = __slots__[:2]
 
     def __init__(self, source: int, arrows: tuple[Arrow, ...]):
         at, h = source, source
@@ -52,14 +53,6 @@ class Path:
                 raise DomainError(f"arrow {a.name} does not compose at vertex {at}")
             at, h = a.head, hash((h, a.id))
         _set_path(self, source, arrows, at, h)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"paths are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (Path, (self.source, self.arrows))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Path:
@@ -91,19 +84,18 @@ class Path:
     def __str__(self) -> str:
         return f"{self.name()}:{self.source}->{self.target}"
 
-    def __repr__(self) -> str:
-        return f"Path(source={self.source!r}, arrows={self.arrows!r})"
 
-
-_PATH_SLOTS = tuple(getattr(Path, s).__set__ for s in Path.__slots__)
+_set_source, _set_arrows, _set_target, _set_hash = (getattr(Path, s).__set__
+                                                    for s in Path.__slots__)
 
 
 def _set_path(p: Path, source: int, arrows: tuple[Arrow, ...], target: int, h: int) -> None:
-    set_source, set_arrows, set_target, set_hash = _PATH_SLOTS
-    set_source(p, source)
-    set_arrows(p, arrows)
-    set_target(p, target)
-    set_hash(p, h)
+    # the captured slot setters: paths are built in the inner loops, where
+    # the keyword call of Frozen._set would double the cost of a Path
+    _set_source(p, source)
+    _set_arrows(p, arrows)
+    _set_target(p, target)
+    _set_hash(p, h)
 
 
 def _path(source: int, arrows: tuple[Arrow, ...], target: int, h: int) -> Path:

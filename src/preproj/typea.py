@@ -8,8 +8,7 @@ from typing import NamedTuple
 
 from .dynkin import ExtDynkinType
 from .errors import DomainError
-from .weights import (FieldElem, ONE, Weight, ZERO, _check_length, _lattice, _unscale,
-                      _weight, dot_delta)
+from .weights import FieldElem, Weight, ZERO, _check_length, _lattice, _unscale
 
 
 class TypeAPresentation(NamedTuple):
@@ -32,28 +31,30 @@ def presentation(n: int, w: Weight) -> TypeAPresentation:
     """The relations at weight w, computed at the integral weight D*w.
 
     D is the common denominator of w's parts (``weights._lattice``), so
-    every product below multiplies int parts.  A monic polynomial of degree
-    n + 1 whose roots are scaled by D has its z^k coefficient scaled by
-    D^(n+1-k); dividing by that, and the shift by D, gives the relations at w.
+    the polynomials are multiplied out on the (re, im) int pairs of D*w.  A
+    monic polynomial of degree n + 1 whose roots are scaled by D has its z^k
+    coefficient scaled by D^(n+1-k); dividing by that, and the shift by D,
+    gives the relations at w.
     """
-    t = ExtDynkinType("A", n)
-    _check_length(t, w)
+    _check_length(ExtDynkinType("A", n), w)
     d, pairs = _lattice(w)
-    scaled = _weight(tuple(FieldElem(a, b) for a, b in pairs))
-    shift = dot_delta(t, scaled)
-    xy: list[FieldElem] = [ONE]
-    yx: list[FieldElem] = [ONE]
-    partial = ZERO
-    for i in range(n + 1):
-        partial = partial + scaled[i] if i >= 1 else partial
-        # times the monic factors z + partial and z + partial - shift, in one pass each
-        low = partial - shift
-        xy = [x * partial + y for x, y in zip(xy + [ZERO], [ZERO] + xy)]
-        yx = [x * low + y for x, y in zip(yx + [ZERO], [ZERO] + yx)]
-    scale = [d ** (n + 1 - k) for k in range(n + 2)]
-    return TypeAPresentation(n, _unscale(shift.re, shift.im, d),
-                             tuple(_unscale(c.re, c.im, q) for c, q in zip(xy, scale)),
-                             tuple(_unscale(c.re, c.im, q) for c, q in zip(yx, scale)))
+    # every entry of delta is 1 for ~A_n, so D*shift is the sum of the pairs
+    sr, si = sum(a for a, _ in pairs), sum(b for _, b in pairs)
+    xy = yx = [(1, 0)]
+    pr = pi = 0
+    for a, b in [(0, 0)] + pairs[1:]:
+        pr, pi = pr + a, pi + b
+        xy = _times_root(xy, pr, pi)
+        yx = _times_root(yx, pr - sr, pi - si)
+    return TypeAPresentation(n, _unscale(sr, si, d),
+                             tuple(_unscale(a, b, d ** (n + 1 - k)) for k, (a, b) in enumerate(xy)),
+                             tuple(_unscale(a, b, d ** (n + 1 - k)) for k, (a, b) in enumerate(yx)))
+
+
+def _times_root(poly: list[tuple[int, int]], cr: int, ci: int) -> list[tuple[int, int]]:
+    """poly * (z + c), coefficients ascending in degree, on (re, im) int pairs."""
+    return [(a * cr - b * ci + e, a * ci + b * cr + f)
+            for (a, b), (e, f) in zip(poly + [(0, 0)], [(0, 0)] + poly)]
 
 
 class TypeASequence(NamedTuple):

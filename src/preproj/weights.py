@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynkin import ExtDynkinType, cartan, delta_vector
+from .dynkin import ExtDynkinType, Frozen, build_extended, cartan, delta_vector
 from .errors import DomainError, InternalInconsistency
 
 
@@ -33,7 +33,7 @@ def _exact(x) -> int | Fraction:
     return _canon(x)
 
 
-class FieldElem:
+class FieldElem(Frozen):
     """An immutable element a + b*i with exact rational a, b.
 
     Each part is an int when it is integral and a Fraction otherwise, so
@@ -48,19 +48,11 @@ class FieldElem:
     theory needs from it.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = _args = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        _set_re(self, re if re.__class__ is int else _exact(re))
-        _set_im(self, im if im.__class__ is int else _exact(im))
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"field elements are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (FieldElem, (self.re, self.im))
+        self._set(re=re if re.__class__ is int else _exact(re),
+                  im=im if im.__class__ is int else _exact(im))
 
     @staticmethod
     def of(x) -> "FieldElem":
@@ -242,39 +234,23 @@ def compare(a: FieldElem, b: FieldElem) -> int:
     return (ka > kb) - (ka < kb)
 
 
-class Weight:
+class Weight(Frozen):
     """An immutable label from the field at each vertex 0..n.
 
     The public constructor checks that the entries are a tuple of field
     elements; ``of`` coerces any values, and the weights the program
     computes are built with the trusted ``_weight``."""
 
-    __slots__ = ("entries",)
+    __slots__ = _args = ("entries",)
 
     def __init__(self, entries: tuple[FieldElem, ...]):
         if entries.__class__ is not tuple or any(x.__class__ is not FieldElem for x in entries):
             raise DomainError(f"weight entries must be a tuple of field elements, not {entries!r}")
-        _set_entries(self, entries)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"weights are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (Weight, (self.entries,))
+        self._set(entries=entries)
 
     @staticmethod
     def of(values) -> "Weight":
         return _weight(tuple(FieldElem.of(v) for v in values))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     def __getitem__(self, i: int) -> FieldElem:
         return self.entries[i]
@@ -287,9 +263,6 @@ class Weight:
 
     def __str__(self) -> str:
         return format_weight(self)
-
-    def __repr__(self) -> str:
-        return f"Weight(entries={self.entries!r})"
 
 
 _set_entries = Weight.entries.__set__
@@ -333,18 +306,6 @@ def is_quasi_dominant(t: ExtDynkinType, w: Weight) -> bool:
     return all(x._key() >= (0, 0) for x in w.entries[1:])
 
 
-# per type, the neighbours of each vertex 0..n
-_NEIGHBOURS: dict[ExtDynkinType, tuple[tuple[int, ...], ...]] = {}
-
-
-def _neighbours(t: ExtDynkinType) -> tuple[tuple[int, ...], ...]:
-    nbrs = _NEIGHBOURS.get(t)
-    if nbrs is None:
-        nbrs = _NEIGHBOURS[t] = tuple(tuple(j for j, a in enumerate(row) if a)
-                                      for row in cartan(t).adjacency)
-    return nbrs
-
-
 def dual_reflection(t: ExtDynkinType, w: Weight, i: int) -> Weight:
     """r_i(w)_j = w_j - C~_{ij} w_i; preserves w . delta and the lattice.
 
@@ -358,7 +319,7 @@ def dual_reflection(t: ExtDynkinType, w: Weight, i: int) -> Weight:
     entries = list(w.entries)
     wi = entries[i]
     entries[i] = -wi
-    for j in _neighbours(t)[i]:
+    for j in build_extended(t).neighbours(i):
         entries[j] = entries[j] + wi
     return _weight(tuple(entries))
 
@@ -430,7 +391,7 @@ def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[in
     word, is the one on w.  The terminal weight is divided by D once."""
     d, keys = _lattice(w)
     start = keys.copy()
-    nbrs = _neighbours(t)
+    nbrs = build_extended(t).adjacency()
     key = keys.__getitem__
     fired: list[int] = []
     while True:

@@ -229,6 +229,19 @@ def test_decompose_weights_fuzz(capsys):
     assert codes == {0, 1, 2}
 
 
+HUGE_RANKS = (["dims", "--type", "A99999999999"], ["resolve", "--type", "~D4000"],
+              ["decompose", "--type", "~A1200", "--weights", ",".join(["1"] + ["0"] * 1200)])
+
+
+@pytest.mark.parametrize("argv", HUGE_RANKS, ids=lambda argv: argv[0])
+def test_huge_ranks_are_domain_errors(argv, capsys):
+    # these ended in a MemoryError in graded_dims_pi and in a RecursionError
+    # in _compositions and in _canonical_isomorphism
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 def test_subcommand_argv_fuzz(capsys):
     """Seeded argv for every subcommand but decompose: dispatch returns
     exit code 0, 1 or 2 and lets no exception escape."""

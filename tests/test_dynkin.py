@@ -6,8 +6,8 @@ import pytest
 
 from oracles import (brute_canonical_map, det_int, graph_automorphisms, is_involution,
                      preserves)
-from preproj.dynkin import (DynkinType, ExtDynkinType, build_dynkin, build_extended, cartan,
-                            classify_components, dynkin_adjacency, nakayama,
+from preproj.dynkin import (MAX_RANK, DynkinType, ExtDynkinType, build_dynkin, build_extended,
+                            cartan, classify_components, dynkin_adjacency, nakayama,
                             parse_type)
 from preproj.errors import DomainError, InternalInconsistency
 from preproj.knitting import RepetitionQuiver
@@ -58,6 +58,13 @@ def test_rejects_bad_ranks():
         DynkinType("A", 0)
     with pytest.raises(DomainError):
         DynkinType("E", 9)
+    # 20 is the largest rank a fixture, a test or a bench item uses
+    assert MAX_RANK >= 20
+    for family in "AD":
+        assert ExtDynkinType(family, MAX_RANK).n == DynkinType(family, MAX_RANK).n == MAX_RANK
+        for cls in (DynkinType, ExtDynkinType):
+            with pytest.raises(DomainError, match=f"n <= {MAX_RANK}, got {MAX_RANK + 1}"):
+                cls(family, MAX_RANK + 1)
 
 
 def test_parse_and_serialize():

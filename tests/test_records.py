@@ -1,17 +1,22 @@
-"""The record types: the five types with identity or behaviour are immutable
-``__slots__`` classes checked at their constructors, every other result is a
-``typing.NamedTuple``, and importing the cli loads no ``dataclasses``."""
+"""The record types: the six identity types are immutable ``__slots__``
+classes on the one base ``dynkin.Frozen``, checked at their constructors;
+every other result is a ``typing.NamedTuple``, and importing the cli loads
+no ``dataclasses``."""
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from preproj import dynkin, fixtures, intersection, knitting, pathalg, singularity, typea
-from preproj.dynkin import Arrow, DynkinType, ExtDynkinType, LabelledDoubleQuiver, build_extended
+from preproj import (dynkin, fixtures, intersection, knitting, pathalg, singularity, typea,
+                     weights)
+from preproj.dynkin import (Arrow, DynkinType, ExtDynkinType, Frozen, LabelledDoubleQuiver,
+                            build_extended)
 from preproj.errors import DomainError
+from preproj.pathalg import Path, parse_path
 from preproj.weights import FieldElem, Weight, WeightClass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,7 +35,8 @@ def test_the_cli_imports_no_dataclass_machinery():
 def identity_objects():
     q = build_extended(ExtDynkinType("D", 5))
     return [DynkinType("D", 5), ExtDynkinType("D", 5), q.arrow("~a2"), q,
-            Weight.of([1, "1/2", "-i", 0, 0, "2+3i"])]
+            Weight.of([1, "1/2", "-i", 0, 0, "2+3i"]), FieldElem(Fraction(-1, 2), 3),
+            parse_path(q, "a0.~a1.a1")]
 
 
 @pytest.mark.parametrize("obj", identity_objects(), ids=lambda o: type(o).__name__)
@@ -48,11 +54,24 @@ def test_identity_types_are_immutable_picklable_classes(obj):
         assert z == obj and hash(z) == hash(obj) and z is not obj
 
 
+def test_identity_types_share_the_one_immutable_base():
+    # the immutability and pickling protocol is written once, in Frozen, so a
+    # class that writes its own copy of it fails here
+    assert all(isinstance(obj, Frozen) for obj in identity_objects())
+    modules = (dynkin, fixtures, intersection, knitting, pathalg, singularity, typea, weights)
+    classes = {c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__}
+    own = [c.__name__ for c in classes
+           if c is not Frozen and {"__setattr__", "__delattr__", "__reduce__"} & set(vars(c))]
+    assert own == []
+
+
 def test_reprs_name_the_constructor_fields():
     assert repr(DynkinType("E", 6)) == "DynkinType(family='E', n=6)"
     assert repr(ExtDynkinType("A", 2)) == "ExtDynkinType(family='A', n=2)"
     assert repr(Arrow(3, True, 4, 2)) == "Arrow(index=3, reverse=True, tail=4, head=2)"
     assert repr(Weight.of([1, 0])) == "Weight(entries=(FieldElem('1'), FieldElem('0')))"
+    assert repr(Path(4, ())) == "Path(source=4, arrows=())"
     q = build_extended(ExtDynkinType("A", 2))
     assert repr(q) == (f"LabelledDoubleQuiver(vertices=(0, 1, 2), arrows={q.arrows!r}, "
                        "type=ExtDynkinType(family='A', n=2))")
