@@ -5,7 +5,10 @@ The workhorse is a layer-by-layer normal-form construction of Pi^lambda,
 one projective summand e_v Pi^lambda (the paths that start at v) at a time:
 filtering by path length, each new layer is presented by symbols
 (basis element, arrow) modulo one relation row per lower basis element, and
-one exact elimination, ``eliminate``, yields multiplication tables.  Neither
+one exact elimination, ``eliminate``, yields multiplication tables.  It is
+one Gauss-Jordan pass that keeps its rows reduced as they are added, and
+each layer's elimination is stored once, as a ``Step``; raw relation row r
+of degree d is read off as c.rho_v for c = layers[d-2][r].  Neither
 a symbol nor a relation row c.rho_w leaves the source of c, so a summand is
 built on its own, and ``model_for`` hands out one summand per vertex, each
 built only as far as the queries in it need.  Because
@@ -16,8 +19,8 @@ by the same clearing step (``_clear``); ``knitting`` takes its nullspaces
 from ``eliminate``'s null rows.
 The same fact makes the symbol elimination independent of lambda: each
 weight-0 summand eliminates once, and the deformed summand at the same
-vertex reuses its basis, rows and provenance and solves only for the tails
-below each layer.
+vertex reuses its basis and steps and solves only for the tails below each
+layer.
 """
 from __future__ import annotations
 
@@ -201,9 +204,6 @@ class PathElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, PathElement) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -264,6 +264,20 @@ def relation_set(q: LabelledDoubleQuiver, weight: dict[int, FieldElem]) -> dict[
 # the normal-form engine
 
 
+class Step(NamedTuple):
+    """The elimination that built layer d of a weight-0 summand, shared by
+    the deformed summands at its vertex: the (basis id, arrow) symbols and
+    their index by (basis id, arrow id), and ``eliminate``'s reduced rows,
+    pivot rows and null rows.  Raw relation row r is c.rho_v for
+    c = layers[d-2][r] and v the target of c."""
+
+    syms: list[tuple[int, Arrow]]
+    sym_index: dict[tuple[int, int], int]
+    rows: list[tuple[dict[int, FieldElem], dict[int, FieldElem]]]
+    pivots: dict[int, int]
+    nulls: list[dict[int, FieldElem]]
+
+
 class QuotientModel:
     """Filtered basis and multiplication tables for one projective summand
     e_v Pi^lambda of a double quiver, the paths that start at v, built one
@@ -271,9 +285,9 @@ class QuotientModel:
 
     Every symbol entry of a relation row comes from the top-degree part of
     the tables, which does not depend on lambda (gr Pi^lambda = Pi).  So the
-    basis, the raw relation rows and their echelon form belong to the
-    weight-0 summand at v, and a summand at a nonzero weight shares them
-    and solves only for the tails below each new layer."""
+    basis and the steps belong to the weight-0 summand at v, and a summand
+    at a nonzero weight shares them and solves only for the tails below
+    each new layer."""
 
     def __init__(self, quiver: LabelledDoubleQuiver, source: int,
                  rels: dict[int, PathElement], graded: "QuotientModel | None"):
@@ -291,15 +305,13 @@ class QuotientModel:
         if graded is not None:
             # basis element i is its representative path; its degree is the length
             self.basis: list[Path] = graded.basis
-            # per degree: the raw (c, v) relation rows, and their reduced rows
-            # with provenance over them, used to build layers and certificates
-            self.rows: list[list[tuple[int, int]]] = graded.rows
-            self.echelon: list[dict] = graded.echelon
+            # per degree: the elimination that built the layer, read again
+            # by the deformed layers and the certificates
+            self.steps: list[Step] = graded.steps
             self.layers: list[list[int]] = [graded.layers[0]]
         else:
             self.basis = [trivial_path(source)]
-            self.rows = [[]]
-            self.echelon = [{}]
+            self.steps = [Step([], {}, [], {}, [])]
             self.layers = [[0]]
 
     # -- layer construction -------------------------------------------------
@@ -323,20 +335,16 @@ class QuotientModel:
         syms = [(bid, a) for bid in self.layers[d - 1]
                 for a in self.quiver.arrows_from(self.basis[bid].target)]
         sym_index = {(bid, a.id): k for k, (bid, a) in enumerate(syms)}
-        raw_rows: list[tuple[int, int]] = []
         sym_rows: list[dict[int, FieldElem]] = []
-        if d >= 2:
-            for cid in self.layers[d - 2]:
-                v = self.basis[cid].target
-                sym: dict[int, FieldElem] = {}
-                for path, sign in self.rels[v].terms.items():
-                    first, second = path.arrows
-                    for bid, coef in self.mul[(cid, first.id)].items():
-                        k = sym_index[(bid, second.id)]
-                        sym[k] = sym.get(k, ZERO) + coef * sign
-                raw_rows.append((cid, v))
-                sym_rows.append({k: x for k, x in sym.items() if x})
-        ech, pivots, nulls = eliminate(sym_rows)
+        for cid in self.layers[d - 2] if d >= 2 else ():
+            sym: dict[int, FieldElem] = {}
+            for path, sign in self.rels[self.basis[cid].target].terms.items():
+                first, second = path.arrows
+                for bid, coef in self.mul[(cid, first.id)].items():
+                    k = sym_index[(bid, second.id)]
+                    sym[k] = sym.get(k, ZERO) + coef * sign
+            sym_rows.append({k: x for k, x in sym.items() if x})
+        rows, pivots, nulls = eliminate(sym_rows)
 
         # non-pivot symbols become the new layer's basis
         new_layer: list[int] = []
@@ -353,13 +361,9 @@ class QuotientModel:
             if k in sym_to_basis:
                 self.mul[(bid, a.id)] = {sym_to_basis[k]: ONE}
                 continue
-            row = ech[pivots[k]]
             self.mul[(bid, a.id)] = {sym_to_basis[k2]: -x
-                                     for k2, x in row["sym"].items() if k2 != k}
-
-        self.rows.append(raw_rows)
-        self.echelon.append({"rows": ech, "pivots": pivots, "nulls": nulls,
-                             "sym_index": sym_index, "syms": syms})
+                                     for k2, x in rows[pivots[k]][0].items() if k2 != k}
+        self.steps.append(Step(syms, sym_index, rows, pivots, nulls))
 
     def _build_deformed_layer(self, d: int) -> None:
         """The weight-0 layer plus this weight's tails: the raw tail of a
@@ -368,12 +372,12 @@ class QuotientModel:
         tails its provenance names."""
         graded = self.graded
         graded.extend_to(d)
-        info = self.echelon[d]
+        step = self.steps[d]
         mul, low = self.mul, self.low
         tails: list[dict[int, FieldElem]] = []
-        for cid, v in self.rows[d]:
+        for cid in self.layers[d - 2] if d >= 2 else ():
             tail: dict[int, FieldElem] = {}
-            for path, sign in self.rels[v].terms.items():
+            for path, sign in self.rels[self.basis[cid].target].terms.items():
                 if not path.arrows:
                     tail[cid] = tail.get(cid, ZERO) + sign
                     continue
@@ -386,11 +390,11 @@ class QuotientModel:
                     for b2, c2 in mul[(bid, second.id)].items():
                         tail[b2] = tail.get(b2, ZERO) + coef * c2
             tails.append({k: x for k, x in tail.items() if x})
-        reduced = _reduced_tails(tails, info["rows"], info["nulls"])
+        reduced = _reduced_tails(tails, step.rows, step.nulls)
         self.layers.append(graded.layers[d])
-        for k, (bid, a) in enumerate(info["syms"]):
+        for k, (bid, a) in enumerate(step.syms):
             key = (bid, a.id)
-            ridx = info["pivots"].get(k)
+            ridx = step.pivots.get(k)
             if ridx is None or not reduced[ridx]:
                 mul[key] = graded.mul[key]
                 continue
@@ -459,16 +463,17 @@ class QuotientModel:
                 if sym_vec:
                     # the reduced rows clear sym_vec and leave minus the
                     # combination of raw relation rows that spans it in combo
-                    info = self.echelon[top]
+                    step = self.steps[top]
                     residual, combo = dict(sym_vec), {}
-                    _clear(residual, combo, info["rows"], info["pivots"], None)
+                    _clear(residual, combo, step.rows, step.pivots)
                     if any(residual.values()):
                         raise InternalInconsistency("symbol vector escaped the relation row space")
                     dropped: dict[int, FieldElem] = {}
                     for ridx, nu in combo.items():
                         if not nu:
                             continue
-                        cid, v = self.rows[top][ridx]
+                        cid = self.layers[top - 2][ridx]
+                        v = self.basis[cid].target
                         key = (self.basis[cid], v, Path(v, suffix))
                         cert[key] = cert.get(key, ZERO) - nu
                         for q, c in self._expand_generator(cid, v).items():
@@ -490,7 +495,7 @@ class QuotientModel:
         """Split a top-length path into symbol content, lower tails kept in
         g, and an ideal remainder pushed one suffix level down."""
         top = len(p)
-        info = self.echelon[top]
+        sym_index = self.steps[top].sym_index
         prefix = _prefix(p)
         last = p.arrows[-1]
         delta = {prefix: coef}
@@ -498,7 +503,7 @@ class QuotientModel:
             b = self.basis[bid]
             delta[b] = delta.get(b, ZERO) - coef * c
             if len(b) == top - 1:
-                k = info["sym_index"][(bid, last.id)]
+                k = sym_index[(bid, last.id)]
                 sym_sink[k] = sym_sink.get(k, ZERO) + coef * c
             else:
                 p2 = b.then(last)
@@ -528,65 +533,60 @@ def _axpy(dst: dict, src: dict, coef) -> None:
         dst[k] = dst.get(k, ZERO) + coef * v
 
 
-def _clear(sym: dict, prov: dict, rows: list[dict], pivots: dict[int, int],
-           own: int | None) -> None:
-    """Clear every pivot column of sym but its own, largest first.  The
-    other columns of a row lie below its pivot, so a column one elimination
-    brings in is still ahead in the same descending pass."""
-    todo = {k for k in sym if k in pivots and k != own}
-    while todo:
-        pk = max(todo)
-        todo.remove(pk)
-        coef = sym[pk]
-        if not coef:
-            continue
-        row = rows[pivots[pk]]
-        neg = -coef
-        for k, x in row["sym"].items():
-            if k not in sym and k in pivots:
-                todo.add(k)
-            sym[k] = sym.get(k, ZERO) + neg * x
-        _axpy(prov, row["prov"], neg)
+def _clear(sym: dict, prov: dict, rows: list[tuple[dict, dict]], pivots: dict[int, int]) -> None:
+    """Clear every pivot column of sym with the reduced rows.  A reduced row
+    holds no pivot column but its own, so clearing one column brings in no
+    other."""
+    for pk in [k for k in sym if k in pivots]:
+        row_sym, row_prov = rows[pivots[pk]]
+        neg = -sym[pk]
+        _axpy(sym, row_sym, neg)
+        _axpy(prov, row_prov, neg)
 
 
 def eliminate(sym_rows: list[dict[int, FieldElem]]
-              ) -> tuple[list[dict], dict[int, int], list[dict[int, FieldElem]]]:
+              ) -> tuple[list[tuple[dict[int, FieldElem], dict[int, FieldElem]]],
+                         dict[int, int], list[dict[int, FieldElem]]]:
     """Reduced echelon form of the rows on their columns; the one exact
-    elimination of the package.
+    elimination of the package, one Gauss-Jordan pass.
 
-    Returns the reduced rows ({"pivot", "sym", "prov"}, each row 1 at its
-    pivot, the largest column of its forward form, and prov its combination
-    of the input rows), the row index of each pivot column, and the
-    provenance of every input row that reduced to zero.  The null row j has
-    coefficient 1 at j and its other entries on earlier independent rows,
-    so the null provenances are the reduced basis of the left nullspace."""
-    rows: list[dict] = []
+    Returns the reduced rows as (sym, prov) pairs, each sym 1 at its pivot,
+    its largest column, and prov its combination of the input rows; the row
+    index of each pivot column; and the provenance of every input row that
+    reduced to zero.  A new row is cleared with the rows so far, and its
+    pivot column is then cleared from them, so the rows stay reduced.  The
+    null row j has coefficient 1 at j and its other entries on earlier
+    independent rows, so the null provenances are the reduced basis of the
+    left nullspace."""
+    rows: list[tuple[dict[int, FieldElem], dict[int, FieldElem]]] = []
     pivots: dict[int, int] = {}
     nulls: list[dict[int, FieldElem]] = []
     for ridx, sym in enumerate(sym_rows):
-        sym = dict(sym)
-        prov = {ridx: ONE}
-        _clear(sym, prov, rows, pivots, None)
+        sym, prov = dict(sym), {ridx: ONE}
+        _clear(sym, prov, rows, pivots)
         sym = {k: x for k, x in sym.items() if x}
+        prov = {k: x for k, x in prov.items() if x}
         if not sym:
-            nulls.append({k: x for k, x in prov.items() if x})
+            nulls.append(prov)
             continue
         pk = max(sym)
         if sym[pk] != ONE:
             inv = ONE / sym[pk]
             sym = {k: x * inv for k, x in sym.items()}
             prov = {k: x * inv for k, x in prov.items()}
+        for i, (row_sym, row_prov) in enumerate(rows):
+            if pk in row_sym:
+                neg = -row_sym[pk]
+                _axpy(row_sym, sym, neg)
+                _axpy(row_prov, prov, neg)
+                rows[i] = ({k: x for k, x in row_sym.items() if x},
+                           {k: x for k, x in row_prov.items() if x})
         pivots[pk] = len(rows)
-        rows.append({"pivot": pk, "sym": sym, "prov": prov})
-    # back-substitute to reduced echelon form
-    for row in rows:
-        _clear(row["sym"], row["prov"], rows, pivots, row["pivot"])
-        row["sym"] = {k: x for k, x in row["sym"].items() if x}
-        row["prov"] = {k: x for k, x in row["prov"].items() if x}
+        rows.append((sym, prov))
     return rows, pivots, nulls
 
 
-def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[dict],
+def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[tuple[dict, dict]],
                    nulls: list[dict[int, FieldElem]]) -> list[dict[int, FieldElem]]:
     """The tail of each reduced row, sum_r prov[r] * tails[r].  A row whose
     symbols vanish must lose its tail too, or the deformation would not be
@@ -601,7 +601,7 @@ def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[dict],
         if combine(prov):
             raise InternalInconsistency(
                 "relation row degenerated below the associated graded algebra")
-    return [combine(row["prov"]) for row in rows]
+    return [combine(prov) for _, prov in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,14 @@ class FieldElem(Frozen):
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FieldElem:
-            try:
-                other = FieldElem.of(other)
-            except DomainError:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = FieldElem.of(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a rational element equals its real part, so it hashes as that
+        return hash((self.re, self.im) if self.im else self.re)
 
     def _key(self) -> tuple[int | Fraction, int | Fraction]:
         return (self.re, self.im)

@@ -414,6 +414,29 @@ def test_field_elem_integral_parts_compare_and_hash_alike():
     assert type((half + half).re) is int
 
 
+def test_equal_field_elems_hash_alike_and_strings_are_not_elems():
+    rng = random.Random(61)
+    pool = []
+    for _ in range(80):
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.4 else 0
+        x = FieldElem(re, im)
+        # the plain number a rational element equals, as an int where integral
+        pool += [x] if im else [x, re, re.numerator if re.denominator == 1 else re]
+    equal = 0
+    for a in pool:
+        for b in pool:
+            if a == b:
+                assert b == a and hash(a) == hash(b), (a, b)
+                equal += isinstance(a, FieldElem) != isinstance(b, FieldElem)
+    assert equal > 100
+    assert 1 in {ONE} and len({ONE, 1, Fraction(1)}) == 1
+    for x in pool:
+        if isinstance(x, FieldElem):
+            assert x != str(x) and not x == str(x) and str(x) not in {x}
+    assert ONE != "1" and FieldElem(0, 1) != "i" and FieldElem(0, 1) != 1
+
+
 def test_parse_gives_canonical_parts():
     for text in ("6/3", "4/2+6/3i", "-2/4 i", "3", "i", "-i", "0/5", "1/2-8/4i"):
         x = parse_field_elem(text)
