@@ -14,9 +14,10 @@ built on its own, and ``model_for`` hands out one summand per vertex, each
 built only as far as the queries in it need.  Because
 the associated graded algebra of Pi^lambda is the undeformed Pi, a query
 element lies in the relation ideal exactly when its normal form vanishes,
-and an explicit membership certificate is read off the stored reduced rows
-by the same clearing step (``_clear``); ``knitting`` takes its nullspaces
-from ``eliminate``'s null rows.
+and an explicit membership certificate comes from one pass over the table
+entries, top layer down, each pivot entry expanded once through its reduced
+row's provenance (``QuotientModel.certificate``); ``knitting`` takes its
+nullspaces from ``eliminate``'s null rows.
 The same fact makes the symbol elimination independent of lambda: each
 weight-0 summand eliminates once, and the deformed summand at the same
 vertex reuses its basis and steps and solves only for the tails below each
@@ -107,16 +108,6 @@ def _path(source: int, arrows: tuple[Arrow, ...], target: int, h: int) -> Path:
     p = object.__new__(Path)
     _set_path(p, source, arrows, target, h)
     return p
-
-
-def _prefix(p: Path) -> Path:
-    """p without its last arrow, through the trusted constructor: a prefix
-    of a valid path composes and ends where that arrow starts."""
-    arrows = p.arrows[:-1]
-    h = p.source
-    for a in arrows:
-        h = hash((h, a.id))
-    return _path(p.source, arrows, p.arrows[-1].tail, h)
 
 
 def trivial_path(v: int) -> Path:
@@ -299,7 +290,6 @@ class QuotientModel:
         self.mul: dict[tuple[int, int], dict[int, FieldElem]] = {}
         # the nonzero parts of mul below the top degree (none at weight 0)
         self.low: dict[tuple[int, int], dict[int, FieldElem]] = {}
-        self._nf_cache: dict[Path, dict[int, FieldElem]] = {}
         # the weight-0 summand at the same vertex, or None when this is it
         self.graded = graded
         if graded is not None:
@@ -404,25 +394,21 @@ class QuotientModel:
     # -- normal forms --------------------------------------------------------
 
     def nf_path(self, p: Path) -> dict[int, FieldElem]:
-        if p in self._nf_cache:
-            return self._nf_cache[p]
         if p.source != self.source:
             raise DomainError(f"path {p} does not lie in the summand of vertex {self.source}")
         self.extend_to(len(p))
         vec = {0: ONE}
-        done = trivial_path(p.source)
         for a in p.arrows:
-            done = done.then(a)
-            if done in self._nf_cache:
-                vec = self._nf_cache[done]
-                continue
-            out: dict[int, FieldElem] = {}
-            for bid, coef in vec.items():
-                for b2, c2 in self.mul[(bid, a.id)].items():
-                    out[b2] = out.get(b2, ZERO) + coef * c2
-            vec = {k: x for k, x in out.items() if x}
-            self._nf_cache[done] = vec
+            vec = self._then(vec, a)
         return vec
+
+    def _then(self, vec: dict[int, FieldElem], a: Arrow) -> dict[int, FieldElem]:
+        """The normal form of vec times the arrow a."""
+        out: dict[int, FieldElem] = {}
+        for bid, coef in vec.items():
+            for b2, c2 in self.mul[(bid, a.id)].items():
+                out[b2] = out.get(b2, ZERO) + coef * c2
+        return {k: x for k, x in out.items() if x}
 
     def nf(self, x: PathElement) -> dict[int, FieldElem]:
         out: dict[int, FieldElem] = {}
@@ -441,83 +427,61 @@ class QuotientModel:
 
         Terms (coef, u, v, w) satisfy  x = sum coef * u rho_v w  in the free
         path algebra; checkable by plain expansion.
+
+        Write E(b, a) = b.a - nf(b.a) for a basis element b and an arrow a.
+        Walking a path arrow by arrow telescopes: p - nf(p) is the sum, over
+        the splits p = q.a.r, of nf(q)_b E(b, a) r.  So x, whose normal form
+        vanishes, is a combination of table entries E(b, a) r, each in layer
+        d = |b| + 1.  E(b, a) is 0 unless (b, a) is a pivot symbol; then the
+        provenance pi of its reduced row gives
+          E(b, a) = sum_r pi_r (c rho_v - sum_{sign first.second in rho_v}
+                    sign (E(c, first) second
+                          + sum_{b2} low[c, first]_{b2} E(b2, second)))
+        over the raw rows c.rho_v, and every entry on the right lies in a
+        lower layer.  One pass from the top layer down expands each entry
+        once, with no division.
         """
         if not x:
             return []
-        self.extend_to(x.degree)
         if not self.is_zero(x):
             return None
-        cert: dict[tuple[Path, int, Path], FieldElem] = {}
-        work: dict[tuple[Arrow, ...], dict[Path, FieldElem]] = {(): dict(x.terms)}
-        while work:
-            suffix, g = work.popitem()
-            g = {p: c for p, c in g.items() if c}
-            while g:
-                top = max(len(p) for p in g)
-                if top < 2:
-                    raise InternalInconsistency("nonzero ideal element of filtration degree < 2")
-                sym_vec: dict[int, FieldElem] = {}
-                for p in [p for p in g if len(p) == top]:
-                    self._consume_top(g, work, suffix, p, g.pop(p), sym_vec)
-                sym_vec = {k: v for k, v in sym_vec.items() if v}
-                if sym_vec:
-                    # the reduced rows clear sym_vec and leave minus the
-                    # combination of raw relation rows that spans it in combo
-                    step = self.steps[top]
-                    residual, combo = dict(sym_vec), {}
-                    _clear(residual, combo, step.rows, step.pivots)
-                    if any(residual.values()):
-                        raise InternalInconsistency("symbol vector escaped the relation row space")
-                    dropped: dict[int, FieldElem] = {}
-                    for ridx, nu in combo.items():
-                        if not nu:
+        basis, steps, layers, low, rels = self.basis, self.steps, self.layers, self.low, self.rels
+        # per layer d: (basis id, arrow, suffix) -> coefficient of E(b, a) r
+        pending: list[dict[tuple[int, Arrow, tuple[Arrow, ...]], FieldElem]] = [
+            {} for _ in range(x.degree + 1)]
+        for p, coef in x.terms.items():
+            vec = {0: ONE}
+            for i, a in enumerate(p.arrows):
+                r = p.arrows[i + 1:]
+                for bid, c in vec.items():
+                    slot, key = pending[len(basis[bid]) + 1], (bid, a, r)
+                    slot[key] = slot.get(key, ZERO) + coef * c
+                vec = self._then(vec, a)
+        cert: dict[tuple[int, tuple[Arrow, ...]], FieldElem] = {}
+        for d in range(x.degree, 1, -1):
+            step, raw, lower = steps[d], layers[d - 2], pending[d - 1]
+            for (bid, a, r), coef in pending[d].items():
+                ridx = step.pivots.get(step.sym_index[(bid, a.id)])
+                if ridx is None or not coef:
+                    continue
+                for j, pj in step.rows[ridx][1].items():
+                    cid = raw[j]
+                    k = coef * pj
+                    cert[(cid, r)] = cert.get((cid, r), ZERO) + k
+                    for path, sign in rels[basis[cid].target].terms.items():
+                        if not path.arrows:
                             continue
-                        cid = self.layers[top - 2][ridx]
-                        v = self.basis[cid].target
-                        key = (self.basis[cid], v, Path(v, suffix))
-                        cert[key] = cert.get(key, ZERO) - nu
-                        for q, c in self._expand_generator(cid, v).items():
-                            if len(q) == top:
-                                self._consume_top(g, work, suffix, q, nu * c, dropped)
-                            else:
-                                g[q] = g.get(q, ZERO) + nu * c
-                    # the expansions' symbol content must cancel the query's
-                    _axpy(dropped, sym_vec, ONE)
-                    if any(dropped.values()):
-                        raise InternalInconsistency("certificate bookkeeping went off balance")
-                g = {p: c for p, c in g.items() if c}
-        out = [(c, u, v, w) for (u, v, w), c in cert.items() if c]
+                        first, second = path.arrows
+                        m = -(k * sign)
+                        key = (cid, first, (second,) + r)
+                        lower[key] = lower.get(key, ZERO) + m
+                        for b2, c2 in low.get((cid, first.id), {}).items():
+                            slot, key = pending[len(basis[b2]) + 1], (b2, second, r)
+                            slot[key] = slot.get(key, ZERO) + m * c2
+        out = [(c, basis[cid], basis[cid].target, Path(basis[cid].target, r))
+               for (cid, r), c in cert.items() if c]
         out.sort(key=lambda t: (len(t[1]), len(t[3]), t[1].name(), t[3].name(), t[2]))
         return out
-
-    def _consume_top(self, g: dict, work: dict, suffix: tuple,
-                     p: Path, coef: FieldElem, sym_sink: dict) -> None:
-        """Split a top-length path into symbol content, lower tails kept in
-        g, and an ideal remainder pushed one suffix level down."""
-        top = len(p)
-        sym_index = self.steps[top].sym_index
-        prefix = _prefix(p)
-        last = p.arrows[-1]
-        delta = {prefix: coef}
-        for bid, c in self.nf_path(prefix).items():
-            b = self.basis[bid]
-            delta[b] = delta.get(b, ZERO) - coef * c
-            if len(b) == top - 1:
-                k = sym_index[(bid, last.id)]
-                sym_sink[k] = sym_sink.get(k, ZERO) + coef * c
-            else:
-                p2 = b.then(last)
-                g[p2] = g.get(p2, ZERO) + coef * c
-        delta = {q: c for q, c in delta.items() if c}
-        if delta:
-            slot = work.setdefault((last,) + suffix, {})
-            for q, c in delta.items():
-                slot[q] = slot.get(q, ZERO) + c
-
-    def _expand_generator(self, cid: int, v: int) -> dict[Path, FieldElem]:
-        """Basis path c times rho_v as an explicit path combination."""
-        rep = self.basis[cid]
-        return {rep.concat(p): c for p, c in self.rels[v].terms.items()}
 
     # -- dimension data --------------------------------------------------------
 

@@ -141,17 +141,23 @@ class FieldElem(Frozen):
     def _key(self) -> tuple[int | Fraction, int | Fraction]:
         return (self.re, self.im)
 
+    # the order, like equality, takes only field elements, ints and
+    # Fractions; anything else has no place in it and gets NotImplemented
     def __lt__(self, other) -> bool:
-        return self._key() < FieldElem.of(other)._key()
+        o = _order_key(other)
+        return NotImplemented if o is None else self._key() < o
 
     def __le__(self, other) -> bool:
-        return self._key() <= FieldElem.of(other)._key()
+        o = _order_key(other)
+        return NotImplemented if o is None else self._key() <= o
 
     def __gt__(self, other) -> bool:
-        return self._key() > FieldElem.of(other)._key()
+        o = _order_key(other)
+        return NotImplemented if o is None else self._key() > o
 
     def __ge__(self, other) -> bool:
-        return self._key() >= FieldElem.of(other)._key()
+        o = _order_key(other)
+        return NotImplemented if o is None else self._key() >= o
 
     def __str__(self) -> str:
         return format_field_elem(self)
@@ -161,6 +167,13 @@ class FieldElem(Frozen):
 
 
 _set_re, _set_im = FieldElem.re.__set__, FieldElem.im.__set__
+
+
+def _order_key(x) -> tuple[int | Fraction, int | Fraction] | None:
+    """(re, im) of a field element, int or Fraction; None for anything else."""
+    if x.__class__ is FieldElem:
+        return (x.re, x.im)
+    return (x, 0) if isinstance(x, (int, Fraction)) else None
 
 
 def _make(re: int | Fraction, im: int | Fraction = 0) -> FieldElem:
@@ -229,8 +242,11 @@ def format_field_elem(x: FieldElem) -> str:
 
 
 def compare(a: FieldElem, b: FieldElem) -> int:
-    """-1, 0 or 1 for the total order on the field."""
-    ka, kb = FieldElem.of(a)._key(), FieldElem.of(b)._key()
+    """-1, 0 or 1 for the total order on the field; each operand is a field
+    element, an int or a Fraction, or TypeError is raised."""
+    ka, kb = _order_key(a), _order_key(b)
+    if ka is None or kb is None:
+        raise TypeError(f"cannot order {a!r} against {b!r}")
     return (ka > kb) - (ka < kb)
 
 

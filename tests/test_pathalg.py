@@ -1,12 +1,13 @@
 import copy
+import hashlib
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import (brute_filtered_member, brute_graded_dims, brute_graded_member,
-                     brute_product, brute_scale, element_pairs, oracle_relations,
+from oracles import (as_pair, brute_filtered_member, brute_graded_dims, brute_graded_member,
+                     brute_product, brute_scale, element_pairs, oracle_relations, pair_product,
                      parse_element, paths_by_degree, rank_of_rows, unit, walk)
 from preproj import pathalg
 from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
@@ -78,15 +79,6 @@ def test_joins_are_checked_and_stored_endpoints_match_a_walk():
             paths[0].target = 5
         p = paths[-1]
         assert pickle.loads(pickle.dumps(p)) == p and hash(copy.deepcopy(p)) == hash(p)
-
-
-def test_trusted_prefix_matches_the_public_construction():
-    for t in (ExtDynkinType("A", 2), ExtDynkinType("D", 5), ExtDynkinType("E", 6)):
-        q = build_extended(t)
-        for p in (p for d, ps in paths_by_degree(q, 4).items() if d for p in ps):
-            got, want = pathalg._prefix(p), Path(p.source, p.arrows[:-1])
-            assert got == want and hash(got) == hash(want)
-            assert (got.source, got.arrows, got.target) == (want.source, want.arrows, want.target)
 
 
 def test_reversed_arrow_twice_is_the_arrow():
@@ -389,6 +381,79 @@ def test_membership_agrees_with_brute_force_randomly():
         assert isinstance(res, MembershipCertificate) == brute_graded_member(q, f)
         if isinstance(res, MembershipCertificate):
             assert check_certificate(t, res)
+
+
+def _element_of(pairs):
+    """A {(source, arrows): (re, im)} dict as a PathElement."""
+    return PathElement({Path(s, arrows): FieldElem(*c) for (s, arrows), c in pairs.items()})
+
+
+def _oracle_expansion(rels, u, rel, w):
+    """u rho w over (re, im) pairs, by brute_product alone."""
+    left = _element_of(brute_product(PathElement.of_path(u), rels[rel]))
+    return brute_product(left, PathElement.of_path(w))
+
+
+def certificate_corpus():
+    """(type, weight, element) for seeded random ideal members
+    sum k u rho_v w, with u and w walks of length <= 5, on five types at
+    weight 0, a rational weight and a Gaussian weight; each member is built
+    from the oracle's relations, never by the engine."""
+    for t in (ExtDynkinType("A", 3), ExtDynkinType("D", 5), ExtDynkinType("D", 6),
+              ExtDynkinType("E", 6), ExtDynkinType("E", 7)):
+        rng = random.Random(f"certificate-corpus-{t}")
+        q = build_extended(t)
+        walks = [p for ps in paths_by_degree(q, 5).values() for p in ps]
+        starting = {v: [p for p in walks if p.source == v] for v in q.vertices}
+        rational = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(t.n + 1)]
+        gaussian = [FieldElem(x, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                    for x in rational]
+        for w in (Weight.of([0] * (t.n + 1)), Weight.of(rational), Weight.of(gaussian)):
+            rels = oracle_relations(t, w)
+            for _ in range(5):
+                u = rng.choice(walks)
+                right = rng.choice(starting[u.target])
+                terms = [(u, right)]
+                for _ in range(rng.randint(0, 2)):
+                    u2 = rng.choice(starting[u.source])
+                    ends = [p for p in starting[u2.target] if p.target == right.target]
+                    if ends:
+                        terms.append((u2, rng.choice(ends)))
+                total = {}
+                for u2, w2 in terms:
+                    k = rng.choice((1, -1, 2, -3, Fraction(1, 2)))
+                    for key, c in _oracle_expansion(rels, u2, u2.target, w2).items():
+                        x = pair_product(c, (Fraction(k), 0))
+                        s = total.get(key, (0, 0))
+                        total[key] = (s[0] + x[0], s[1] + x[1])
+                x = _element_of({k: c for k, c in total.items() if c != (0, 0)})
+                if x:
+                    yield t, w, x
+
+
+# sha256 of every certificate term of certificate_corpus(), taken before the
+# certificate was read off in one top-down pass over the table entries
+CERTIFICATE_CORPUS_SHA256 = "4fb486c73e991927ba1c6612bb53ee1995295015b78914afee9f68a5fbc97eba"
+
+
+def test_certificate_corpus_is_frozen_and_expands_by_the_oracle():
+    lines, members = [], 0
+    for t, w, x in certificate_corpus():
+        cert = ideal_member(t, w, x)
+        assert cert is not None, (str(t), str(w), str(x))
+        rels = oracle_relations(t, w)
+        total = {}
+        for c, u, v, right in cert.terms:
+            for key, y in _oracle_expansion(rels, u, v, right).items():
+                y = pair_product(y, as_pair(c))
+                s = total.get(key, (0, 0))
+                total[key] = (s[0] + y[0], s[1] + y[1])
+        assert {k: c for k, c in total.items() if c != (0, 0)} == element_pairs(x)
+        lines += [f"{t};{w};{x}"] + [f"{c};{u};{v};{right}" for c, u, v, right in cert.terms]
+        members += 1
+    assert members == 75
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CERTIFICATE_CORPUS_SHA256
 
 
 def test_cap_below_degree_rejected():

@@ -437,6 +437,41 @@ def test_equal_field_elems_hash_alike_and_strings_are_not_elems():
     assert ONE != "1" and FieldElem(0, 1) != "i" and FieldElem(0, 1) != 1
 
 
+def test_order_takes_the_numbers_equality_takes_and_nothing_else():
+    rng = random.Random(67)
+    pool = []
+    for _ in range(60):
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.4 else 0
+        pool.append(FieldElem(re, im))
+    # the plain numbers a rational element stands for, as int and Fraction
+    numbers = [n for x in pool if not x.im
+               for n in (x.re, Fraction(x.re), x.re.numerator // x.re.denominator)]
+    assert len(numbers) > 60
+    ops = (("<", lambda a, b: a < b, lambda c: c < 0),
+           ("<=", lambda a, b: a <= b, lambda c: c <= 0),
+           (">", lambda a, b: a > b, lambda c: c > 0),
+           (">=", lambda a, b: a >= b, lambda c: c >= 0))
+    for a in pool:
+        for b in pool + numbers:
+            c = compare(a, b)
+            assert compare(b, a) == -c and c == compare(a, FieldElem.of(b))
+            for name, op, want in ops:
+                assert op(a, b) == want(c), (name, a, b)
+                assert op(b, a) == want(-c), (name, b, a)
+        for other in (str(a), "1", 0.5, float(a.re), None):
+            for name, op, _ in ops:
+                with pytest.raises(TypeError):
+                    op(a, other)
+                with pytest.raises(TypeError):
+                    op(other, a)
+            with pytest.raises(TypeError):
+                compare(a, other)
+            with pytest.raises(TypeError):
+                compare(other, a)
+    assert not ONE == "1" and ONE != "1"
+
+
 def test_parse_gives_canonical_parts():
     for text in ("6/3", "4/2+6/3i", "-2/4 i", "3", "i", "-i", "0/5", "1/2-8/4i"):
         x = parse_field_elem(text)
