@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Callable
 
 from . import fixtures
-from .dynkin import DynkinType, ExtDynkinType, parse_type
+from .dynkin import _INTEGER, DynkinType, ExtDynkinType, parse_type
 from .errors import DomainError, InternalInconsistency
 from .intersection import intersection_matrix, smooth_resolution
 from .knitting import extract_maps, knit, render_pattern
@@ -234,12 +235,12 @@ def _suite_knitting() -> list[tuple[str, bool, str]]:
     return out
 
 
-def _suite_maps(cap: int | None) -> list[tuple[str, bool, str]]:
+def _suite_maps() -> list[tuple[str, bool, str]]:
     out = []
     for fx in fixtures.MAP_FIXTURES:
         psi, phi = fx.matrices()
         for label, w in (("zero", fx.zero_weight()), ("component", fx.component_weight())):
-            rep = verify_zero_product(fx.type, w, psi, phi, degree_cap=cap)
+            rep = verify_zero_product(fx.type, w, psi, phi)
             ok = rep.ok and all(check_certificate(fx.type, c) for c in rep.certificates)
             nterms = sum(len(c.terms) for c in rep.certificates) if rep.ok else 0
             out.append((f"maps-{fx.fixture_id}-{label}", ok,
@@ -263,7 +264,7 @@ def _suite_intersection() -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args) -> tuple[int, dict, Lines]:
     suites = {"dims": _suite_dims, "knitting": _suite_knitting,
-              "maps": lambda: _suite_maps(args.cap), "intersection": _suite_intersection}
+              "maps": _suite_maps, "intersection": _suite_intersection}
     scopes = list(suites) if args.suite == "all" else [args.suite]
     results: list[tuple[str, bool, str]] = []
     for scope in scopes:
@@ -283,12 +284,22 @@ def cmd_verify(args) -> tuple[int, dict, Lines]:
 # argument parsing and dispatch
 
 
+def _is_integer(text: str) -> bool:
+    return re.fullmatch(_INTEGER, text.strip()) is not None
+
+
+def _vertex(text: str) -> int:
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"expected a vertex index, got {text!r}")
+    return int(text)
+
+
 def _vertex_set(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(x) for x in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(map(_is_integer, parts)):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated vertex indices, got {text!r}") from None
+            f"expected comma-separated vertex indices, got {text!r}")
+    return frozenset(map(int, parts))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--S", required=True, type=_vertex_set,
                    help='comma-separated S vertices, e.g. "0,5"')
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_vertex, required=True)
     p.add_argument("--ascii", action="store_true", help="render the pattern grid")
     p.add_argument("--maps", action="store_true", help="extract and certify the maps")
     p.set_defaults(func=cmd_knit)
@@ -336,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the paper-anchored fixture suites")
     p.add_argument("--suite", choices=("dims", "knitting", "maps", "intersection", "all"),
                    default="all")
-    p.add_argument("--cap", type=int, default=24, help="degree cap for map certificates")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
     return ap

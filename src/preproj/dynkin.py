@@ -6,12 +6,19 @@ full subquivers into canonical Dynkin pieces.
 """
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency
 
 FAMILIES = ("A", "D", "E")
+
+# the one number grammar of every input: ASCII digits, with an optional sign
+# where a value may be signed; str.isdecimal, int() and re's \d would also
+# take other scripts' digits, and int() underscores
+_DIGITS = "[0-9]+"
+_INTEGER = f"[+-]?{_DIGITS}"
 
 COXETER_NUMBERS = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get}
 
@@ -130,7 +137,7 @@ def parse_type(text: str) -> ExtDynkinType | DynkinType:
     text = text.strip()
     extended = text.startswith("~")
     body = text[1:] if extended else text
-    if not body or body[0] not in FAMILIES or not body[1:].isdecimal():
+    if not body or body[0] not in FAMILIES or re.fullmatch(_DIGITS, body[1:]) is None:
         raise DomainError(f"cannot parse Dynkin type {text!r}")
     family, n = body[0], int(body[1:])
     return ExtDynkinType(family, n) if extended else DynkinType(family, n)

@@ -6,59 +6,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dynkin import Arrow, ExtDynkinType, build_extended
+from .dynkin import Arrow, ExtDynkinType, LabelledDoubleQuiver, build_extended
 from .errors import DomainError, InternalInconsistency
-from .pathalg import (Path, PathElement, ZeroProductReport, eliminate, model_for,
-                      multiply, verify_zero_product)
+from .pathalg import (Path, PathElement, ZeroProductReport, _term_order, eliminate,
+                      model_for, multiply, verify_zero_product)
 from .weights import ONE, FieldElem, Weight
-
-
-class RepetitionQuiver:
-    """Column structure of rep(~Q), drawn to the left of column 1.
-
-    Sink-class vertices (all Figure-1 arrows pointing in) sit in odd
-    columns, source-class vertices in even ones; arrows run from
-    (col+1, u) to (col, v) for every adjacency {u, v}.  Steps inside a copy
-    (even column to odd column) carry ordinary arrows, steps between
-    copies carry reverse arrows.  Types ~D and ~E have simple edges, so one
-    arrow of the double runs u -> v for each adjacency.  Built once per type
-    (``_repetition_quiver``).
-    """
-
-    def __init__(self, t: ExtDynkinType):
-        if t.family not in ("D", "E"):
-            raise DomainError(f"knitting supports types ~D and ~E, not {t}")
-        self.type = t
-        self.quiver = build_extended(t)
-        self.sinks = self.quiver.sink_class()
-        self.sources = frozenset(self.quiver.vertices) - self.sinks
-        self.steps = {(a.tail, a.head): a for a in self.quiver.arrows}
-
-    def column_class(self, col: int) -> frozenset[int]:
-        return self.sinks if col % 2 == 1 else self.sources
-
-    def column_of(self, v: int, base: int) -> int:
-        """Smallest column >= base holding vertex v."""
-        return base if v in self.column_class(base) else base + 1
-
-    def step_arrow(self, col_from: int, u: int, v: int) -> Arrow:
-        """The double-quiver arrow u -> v for a step (col_from -> col_from-1)."""
-        a = self.steps.get((u, v))
-        if a is None:
-            raise DomainError(f"{u} and {v} are not adjacent")
-        if a.reverse == (col_from % 2 == 0):
-            raise InternalInconsistency(f"arrow {a} does not step out of column {col_from}")
-        return a
-
-
-_REPETITION: dict[ExtDynkinType, RepetitionQuiver] = {}
-
-
-def _repetition_quiver(t: ExtDynkinType) -> RepetitionQuiver:
-    rq = _REPETITION.get(t)
-    if rq is None:
-        rq = _REPETITION[t] = RepetitionQuiver(t)
-    return rq
 
 
 class KnitResult(NamedTuple):
@@ -109,28 +61,38 @@ class KnitResult(NamedTuple):
 def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
     """Run the knitting algorithm for S (which must contain 0) onto V_target.
 
+    The diagram is rep(~Q) drawn to the left of column 1 on the extended
+    quiver's own tables: sink-class vertices (all Figure-1 arrows pointing
+    in) sit in odd columns, source-class vertices in even ones, and a step
+    from (col, v) to (col-1, u) runs along the adjacency {u, v}.  Steps
+    out of an even column stay inside a copy and carry ordinary arrows,
+    steps out of an odd column run between copies and carry reverse ones.
     Columns fill right to left; the value at (col+1, k) is the sum over
     uncircled neighbours in col minus the uncircled value at (col-1, k);
     the run stops when a -1 appears.  A value never changes once written
     and the seeded cells are 0 or 1, so each is checked as it is written.
     """
-    rq = _repetition_quiver(t)
+    if t.family not in ("D", "E"):
+        raise DomainError(f"knitting supports types ~D and ~E, not {t}")
+    q = build_extended(t)
+    sinks = q.sink_class()
+    columns = (frozenset(q.vertices) - sinks, sinks)   # indexed by col % 2
     s = frozenset(int(v) for v in s_vertices)
     if 0 not in s:
         raise DomainError("S must contain the extending vertex 0")
-    if not s <= set(rq.quiver.vertices):
+    if not s <= set(q.vertices):
         raise DomainError("S must be a set of vertices")
     if target in s:
         raise DomainError("the target vertex must lie outside S")
-    if target not in rq.quiver.vertices:
+    if target not in q.vertices:
         raise DomainError(f"vertex {target} is not in {t}")
 
-    start_col = rq.column_of(target, 1)
+    start_col = 1 if target in sinks else 2
     values: dict[tuple[int, int], int] = {}
     for col in range(1, start_col):
-        for v in rq.column_class(col):
+        for v in columns[col % 2]:
             values[(col, v)] = 0
-    for v in rq.column_class(start_col):
+    for v in columns[start_col % 2]:
         values[(start_col, v)] = 1 if v == target else 0
 
     guard = 4 * t.dynkin.coxeter_number + 4
@@ -140,9 +102,9 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
         col += 1
         if col > guard:
             raise DomainError(f"knitting exceeded the column guard {guard}")
-        for k in rq.column_class(col):
+        for k in columns[col % 2]:
             total = 0
-            for j in rq.quiver.neighbours(k):
+            for j in q.neighbours(k):
                 if j in s:
                     continue
                 total += values.get((col - 1, j), 0)
@@ -208,24 +170,26 @@ class ExtractedMaps(NamedTuple):
         return self.psi is not None
 
 
-def _pattern_walk(r: KnitResult, rq: RepetitionQuiver, start: tuple[int, int],
+def _pattern_walk(r: KnitResult, q: LabelledDoubleQuiver, start: tuple[int, int],
                   end: tuple[int, int]) -> Path:
-    """The first rightward pattern walk, depth first, from start to end
-    through nonzero uncircled cells."""
+    """psi for the circled cell start: the first rightward pattern walk,
+    depth first, from start to the box end through nonzero uncircled cells,
+    read backwards on the quiver's own arrows."""
 
-    def go(cell: tuple[int, int], path: list[Arrow]) -> Path | None:
+    def go(cell: tuple[int, int], steps: list[Arrow]) -> Path | None:
         col, v = cell
         if cell == end:
-            return Path(start[1], tuple(path))
+            return Path(end[1], tuple(reversed(steps)))
         if col <= end[0]:
             return None
-        for u in rq.quiver.neighbours(v):
+        for u in q.neighbours(v):
             nxt = (col - 1, u)
             if nxt != end and (r.values.get(nxt, 0) == 0 or u in r.s_vertices):
                 continue
             if nxt[0] < end[0] or (nxt[0] == end[0] and u != end[1]):
                 continue
-            walk = go(nxt, path + [rq.step_arrow(col, v, u)])
+            back = next(a for a in q.arrows_from(u) if a.head == v)
+            walk = go(nxt, steps + [back])
             if walk is not None:
                 return walk
         return None
@@ -236,30 +200,25 @@ def _pattern_walk(r: KnitResult, rq: RepetitionQuiver, start: tuple[int, int],
     return walk
 
 
-def _reverse_path(rq: RepetitionQuiver, p: Path) -> Path:
-    """p walked backwards, on the quiver's own arrows."""
-    return Path(p.target, tuple(rq.steps[(a.head, a.tail)] for a in reversed(p.arrows)))
-
-
 def _leading(x: PathElement) -> FieldElem:
-    """Coefficient of the first term in printed (length, name) order."""
-    return x.terms[min(x.terms, key=lambda p: (len(p), p.name()))]
+    """Coefficient of the first term in printed order."""
+    return x.terms[min(x.terms, key=_term_order)]
 
 
 def extract_maps(r: KnitResult) -> ExtractedMaps:
     """Maps read off the pattern, with phi from one linear solve.
 
-    psi_k reverses the first pattern walk from the k-th circled 1-cell to
-    the box.  phi_k ranges over the weight-0 basis of e_{j_k} Pi e_kernel in
-    degree kcol - col_k, read off the summand e_{j_k} Pi.  psi.phi lies in
-    the summand of the target, and psi.phi = 0 is a linear system in the
-    coefficients of phi, whose solutions are the null rows of
-    ``eliminate``.  The maps are resolved when the solutions form a line whose phi entries are
-    all nonzero; the solution is scaled so that the leading term of phi_0 is
-    1, each (psi_k, phi_k) with a negative leading phi coefficient is
-    negated, and the product is certified.
+    psi_k is the first pattern walk from the k-th circled 1-cell to the
+    box, read backwards.  phi_k ranges over the weight-0 basis of
+    e_{j_k} Pi e_kernel in degree kcol - col_k, read off the summand
+    e_{j_k} Pi.  psi.phi lies in the summand of the target, and psi.phi = 0
+    is a linear system in the coefficients of phi, whose solutions are the
+    null rows of ``eliminate``.  The maps are resolved when the solutions
+    form a line whose phi entries are all nonzero; the solution is scaled so
+    that the leading term of phi_0 is 1, each (psi_k, phi_k) with a negative
+    leading phi coefficient is negated, and the product is certified.
     """
-    rq = _repetition_quiver(r.type)
+    q = build_extended(r.type)
     summands = tuple(sorted((cell for cell, val in r.values.items()
                              if val == 1 and cell[1] in r.s_vertices),
                             key=lambda cell: (cell[1], cell[0])))
@@ -272,7 +231,7 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     psi: list[PathElement] = []
     unknowns: list[tuple[int, Path]] = []
     for k, cell in enumerate(summands):
-        psi.append(PathElement.of_path(_reverse_path(rq, _pattern_walk(r, rq, cell, r.boxed))))
+        psi.append(PathElement.of_path(_pattern_walk(r, q, cell, r.boxed)))
         length = kcol - cell[0]
         model = models[cell[1]]
         model.extend_to(length)

@@ -223,11 +223,16 @@ def multiply(a: PathElement, b: PathElement) -> PathElement:
     return _element({p: c for p, c in out.items() if c})
 
 
+def _term_order(p: Path) -> tuple[int, str]:
+    """The printed order of an element's terms: by length, then by name."""
+    return len(p), p.name()
+
+
 def format_element(x: PathElement) -> str:
     if not x.terms:
         return "0"
     bits = []
-    for p in sorted(x.terms, key=lambda p: (len(p), p.name())):
+    for p in sorted(x.terms, key=_term_order):
         c = x.terms[p]
         bits.append(f"{c} * {p.name()} : {p.source}->{p.target}")
     return "  +  ".join(bits)

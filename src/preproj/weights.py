@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynkin import ExtDynkinType, Frozen, build_extended, cartan, delta_vector
+from .dynkin import _DIGITS, ExtDynkinType, Frozen, build_extended, cartan, delta_vector
 from .errors import DomainError, InternalInconsistency
 
 
@@ -196,10 +196,10 @@ ZERO = FieldElem()
 ONE = FieldElem(1)
 MINUS_ONE = FieldElem(-1)
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+_UNSIGNED = rf"{_DIGITS}(?:/{_DIGITS})?"
 _ELEM_RE = re.compile(
-    rf"^\s*(?:(?P<re>{_RAT})(?:\s*(?P<im1>[+-]\s*(?:\d+(?:/\d+)?)?)\s*i)?"
-    rf"|(?P<im2>[+-]?(?:\d+(?:/\d+)?)?)\s*i)\s*$")
+    rf"^\s*(?:(?P<re>[+-]?{_UNSIGNED})(?:\s*(?P<im1>[+-]\s*(?:{_UNSIGNED})?)\s*i)?"
+    rf"|(?P<im2>[+-]?(?:{_UNSIGNED})?)\s*i)\s*$")
 
 
 def parse_field_elem(text: str) -> FieldElem:

@@ -345,10 +345,9 @@ FUZZ_EXT_TYPES = ("~D4", "~D5", "~D8", "~E6", "~E7", "~E8", "~A2", "~A5", "~A8",
                   "~D²", "~D-4")
 FUZZ_DYNKIN_TYPES = ("A1", "A8", "D4", "D8", "E6", "E7", "E8", " D5", "A0", "D3", "E9",
                      "~E6", "G2", "E", "E²", "A+3")
-FUZZ_VERTEX = ("0", "1", "2", "3", "4", "5", "6", "-1", "99", "x", "", " 3", "4.0",
+FUZZ_VERTEX = ("0", "1", "2", "3", "4", "5", "6", "-1", "99", "x", "", " 3", "4.0", "1_0",
                "٤", "²")
 FUZZ_SUITES = ("dims", "knitting", "intersection", "maps", "all", "map", "ALL", "", " dims")
-FUZZ_CAPS = ("-3", "0", "1", "x", "", "1.5")
 FUZZ_FORMATS = ("text", "json", "xml", "")
 FUZZ_EXTRAS = ("--bogus", "--type", "--S", "-h", "extra")
 
@@ -356,8 +355,7 @@ FUZZ_EXTRAS = ("--bogus", "--type", "--S", "-h", "extra")
 def fuzz_argv(rng):
     """A seeded argv for knit, dims, intersect, resolve, presentation or
     verify, with near misses in some slots.  ``--maps`` is only asked of
-    ~D4 and ~D5, and verify reaches the maps suite only with a cap below the
-    degree of every product, so that it stops at the first entry."""
+    ~D4 and ~D5."""
     cmd = rng.choice(("knit", "dims", "intersect", "resolve", "presentation", "verify"))
     argv = [cmd]
     if cmd == "knit":
@@ -382,10 +380,7 @@ def fuzz_argv(rng):
         argv += ["--type", rng.choice((f"~A{n - 1}", "~A3", "~D4")),
                  "--weights=" + ",".join(entries)]
     elif cmd == "verify":
-        suite = rng.choice(FUZZ_SUITES)
-        argv += ["--suite", suite]
-        if suite in ("maps", "all") or rng.random() < 0.3:
-            argv += ["--cap", rng.choice(FUZZ_CAPS)]
+        argv += ["--suite", rng.choice(FUZZ_SUITES)]
     else:
         argv += ["--type", rng.choice(FUZZ_EXT_TYPES)]
     if rng.random() < 0.5:

@@ -242,6 +242,67 @@ def test_huge_ranks_are_domain_errors(argv, capsys):
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
+KNIT_D5 = ["knit", "--type", "~D5"]
+
+# numbers in other scripts' digits or with an underscore, which
+# str.isdecimal, int() and \d let through, and the exit code and message
+# each gets now: (argv, exit code, tail of stderr)
+NON_ASCII_NUMBERS = [
+    (["dims", "--type", "D\u0665"], 1, "error: cannot parse Dynkin type 'D\u0665'\n"),
+    (["intersect", "--type", "~E\u0666"], 1, "error: cannot parse Dynkin type '~E\u0666'\n"),
+    (KNIT_D5 + ["--S", "0,\u0665", "--target", "\u0664"], 2,
+     "argument --S: expected comma-separated vertex indices, got '0,\u0665'\n"),
+    (KNIT_D5 + ["--S", "0,5", "--target", "\u0664"], 2,
+     "argument --target: expected a vertex index, got '\u0664'\n"),
+    (KNIT_D5 + ["--S", "0,5", "--target", "1_0"], 2,
+     "argument --target: expected a vertex index, got '1_0'\n"),
+    (KNIT_D5 + ["--S", "0,1_0", "--target", "4"], 2,
+     "argument --S: expected comma-separated vertex indices, got '0,1_0'\n"),
+    (["decompose", "--type", "~A5", "--weights", "\u0661/\u0662,0,0,0,0,0"], 1,
+     "error: cannot parse field element '\u0661/\u0662'\n"),
+    (["decompose", "--type", "~A5", "--weights", "1/2 + \u0663 i,0,0,0,0,0"], 1,
+     "error: cannot parse field element '1/2 + \u0663 i'\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", NON_ASCII_NUMBERS,
+                         ids=["dims-type", "intersect-type", "knit-S", "knit-target",
+                              "knit-target-underscore", "knit-S-underscore", "weights-real",
+                              "weights-imaginary"])
+def test_numbers_are_ascii(argv, code, err, capsys):
+    assert main(argv) == code
+    out, got = capsys.readouterr()
+    assert out == "" and got.endswith(err)
+
+
+# the ASCII forms of those inputs, with the spaces and signs they allowed
+# before: sha256 of their (argv, exit code, stdout, stderr), taken before
+# the number grammar became ASCII-only
+ASCII_NUMBERS = [
+    ["dims", "--type", "D5"], ["dims", "--type", " D5 "],
+    KNIT_D5 + ["--S", "0,5", "--target", "4"], KNIT_D5 + ["--S", " 0 , +5 ", "--target", " +4 "],
+    KNIT_D5 + ["--S", "0,5", "--target", "10"], KNIT_D5 + ["--S", "0,10", "--target", "4"],
+    KNIT_D5 + ["--S", "0,5", "--target", "-4"],
+    ["decompose", "--type", "~A5", "--weights", "1/2,0,0,0,0,0"],
+    ["decompose", "--type", "~A5", "--weights", " +1/2 , 0,0,0,0,-3/4 i"],
+]
+ASCII_NUMBERS_SHA256 = "6656f6c21b8d38e02a7e45d6221e83b64406e22afc3498adbce7e6ec5ce6117f"
+
+
+def test_ascii_numbers_keep_their_output(capsys):
+    h = hashlib.sha256()
+    for argv in ASCII_NUMBERS:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        h.update(repr((argv, code, out, err)).encode())
+    assert h.hexdigest() == ASCII_NUMBERS_SHA256
+
+
+def test_verify_takes_no_cap(capsys):
+    assert main(["verify", "--suite", "maps", "--cap", "24"]) == 2
+    assert "unrecognized arguments: --cap 24" in capsys.readouterr().err
+
+
 def test_subcommand_argv_fuzz(capsys):
     """Seeded argv for every subcommand but decompose: dispatch returns
     exit code 0, 1 or 2 and lets no exception escape."""

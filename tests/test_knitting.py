@@ -60,7 +60,7 @@ def test_e6_spec_example():
 
 
 def test_input_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="knitting supports types ~D and ~E, not ~A5"):
         knit(ExtDynkinType("A", 5), {0}, 3)  # cyclic type unsupported
     with pytest.raises(DomainError):
         knit(ExtDynkinType("D", 5), {1, 5}, 4)  # 0 missing from S
@@ -194,6 +194,18 @@ def test_corpus_phi_entries_are_nonzero(corpus_maps):
     for f, m in corpus_maps:
         models = model_for(f.type, Weight.of([0] * (f.type.n + 1)))
         assert all(models[x.source].nf(x) != {} for x in m.phi), f.fixture_id
+
+
+def test_corpus_psi_runs_on_the_quivers_own_arrows(corpus_maps):
+    # psi_k is read backwards off the pattern walk, from the target to j_k,
+    # on the arrows of the one quiver table of the type, never on copies
+    for f, m in corpus_maps:
+        arrows = build_extended(f.type).arrows
+        for x in m.psi:
+            (p,) = x.terms
+            assert p.source == f.target and p.target in f.s_vertices, f.fixture_id
+            for a in p.arrows:
+                assert any(a is b for b in arrows), (f.fixture_id, a)
 
 
 # the phi entries printed for E8-36 and E8-39 before the linear solve, and
