@@ -299,7 +299,6 @@ class CartanData(NamedTuple):
     adjacency matrices.
     """
 
-    type: ExtDynkinType
     adjacency: tuple[tuple[int, ...], ...]
     cartan_ext: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
@@ -327,7 +326,7 @@ def _build_cartan(t: ExtDynkinType) -> CartanData:
     cext = [[(2 if i == j else 0) - adj[i][j] for j in range(n1)] for i in range(n1)]
     cdyn = [[cext[i][j] for j in range(1, n1)] for i in range(1, n1)]
     freeze = lambda m: tuple(tuple(r) for r in m)
-    data = CartanData(t, freeze(adj), freeze(cext), freeze(cdyn), delta_vector(t))
+    data = CartanData(freeze(adj), freeze(cext), freeze(cdyn), delta_vector(t))
     d = data.delta
     for i in range(n1):
         if sum(data.cartan_ext[i][j] * d[j] for j in range(n1)) != 0:

@@ -11,14 +11,6 @@ from .errors import DomainError, InternalInconsistency
 from .weights import Weight, resolve_to_smooth
 
 
-class NeighbourSequence(NamedTuple):
-    """0 -> V_i -> sum_{k in boundary(i)} V_k -> V_i -> 0 at weight eps_0."""
-
-    type: ExtDynkinType
-    vertex: int
-    middle: tuple[int, ...]
-
-
 class ExtTriple(NamedTuple):
     """(dim Hom, dim Ext^1, dim Ext^2) between two simples; higher Ext
     vanish since the resolution has global dimension two."""
@@ -34,16 +26,8 @@ class ExtTriple(NamedTuple):
 class IntersectionMatrix(NamedTuple):
     """Gamma_{ij} = S_i . S_j over the Dynkin vertices 1..n."""
 
-    type: ExtDynkinType
     vertices: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
-
-
-def neighbour_sequence(t: ExtDynkinType, i: int) -> NeighbourSequence:
-    if not 1 <= i <= t.n:
-        raise DomainError(f"need a non-extending vertex, got {i}")
-    q = build_extended(t)
-    return NeighbourSequence(t, i, q.neighbours(i))
 
 
 def ext_dims(t: ExtDynkinType, i: int, j: int) -> ExtTriple:
@@ -67,7 +51,7 @@ def intersection_matrix(t: ExtDynkinType) -> IntersectionMatrix:
     c = cartan(t).cartan
     if entries != tuple(tuple(-x for x in row) for row in c):
         raise InternalInconsistency("intersection matrix differs from -C")
-    return IntersectionMatrix(t, tuple(range(1, n + 1)), entries)
+    return IntersectionMatrix(tuple(range(1, n + 1)), entries)
 
 
 class SmoothResolution(NamedTuple):
@@ -75,7 +59,6 @@ class SmoothResolution(NamedTuple):
     the reflection word reaching it from eps_0, and the Gamma = -C
     certificate (Morita invariance carries the Ext data across)."""
 
-    type: ExtDynkinType
     mu: Weight
     reflections: tuple[int, ...]
     gamma: IntersectionMatrix
@@ -83,4 +66,4 @@ class SmoothResolution(NamedTuple):
 
 def smooth_resolution(t: ExtDynkinType) -> SmoothResolution:
     seq, mu = resolve_to_smooth(t)
-    return SmoothResolution(t, mu, tuple(seq), intersection_matrix(t))
+    return SmoothResolution(mu, tuple(seq), intersection_matrix(t))

@@ -672,7 +672,6 @@ class ZeroProductReport(NamedTuple):
     ok: bool
     certificates: tuple[MembershipCertificate, ...]
     failed_entry: tuple[int, int] | None = None
-    failure: PathElement | None = None
 
 
 def verify_zero_product(t: ExtDynkinType, w: Weight,
@@ -681,8 +680,11 @@ def verify_zero_product(t: ExtDynkinType, w: Weight,
                         degree_cap: int | None = None) -> ZeroProductReport:
     """Compute the matrix product psi.phi and certify every entry lies in
     the relation ideal; entries are composed by path concatenation."""
-    if not psi or not phi or len(psi[0]) != len(phi):
+    if (not psi or not phi or any(len(row) != len(phi) for row in psi)
+            or any(len(row) != len(phi[0]) for row in phi)):
         raise DomainError("matrix shapes are not composable")
+    if degree_cap is not None and (degree_cap.__class__ is not int or degree_cap < 0):
+        raise DomainError(f"degree cap must be None or an int >= 0, got {degree_cap!r}")
     certs = []
     for i in range(len(psi)):
         for j in range(len(phi[0])):
@@ -692,6 +694,6 @@ def verify_zero_product(t: ExtDynkinType, w: Weight,
                     f"entry ({i},{j}) has degree {entry.degree} above the cap {degree_cap}")
             res = ideal_member(t, w, entry)
             if res is None:
-                return ZeroProductReport(False, tuple(certs), (i, j), entry)
+                return ZeroProductReport(False, tuple(certs), (i, j))
             certs.append(res)
     return ZeroProductReport(True, tuple(certs))

@@ -16,8 +16,6 @@ class QLambdaDecomposition(NamedTuple):
     """I_lambda = {i >= 1 : lambda_i = 0} split into Dynkin components,
     each with its canonical labelling map."""
 
-    type: ExtDynkinType
-    weight: Weight
     i_lambda: tuple[int, ...]
     components: tuple[tuple[DynkinType, tuple[int, ...], dict[int, int]], ...]
 
@@ -44,7 +42,7 @@ def q_lambda_decompose(t: ExtDynkinType, w: Weight) -> QLambdaDecomposition:
             "weight is not quasi-dominant; apply weights.quasi_dominantize first")
     i_lambda = tuple(i for i in range(1, t.n + 1) if w[i] == ZERO)
     comps = classify_components(build_extended(t), set(i_lambda))
-    return QLambdaDecomposition(t, w, i_lambda, tuple(comps))
+    return QLambdaDecomposition(i_lambda, tuple(comps))
 
 
 def translation_permutation(d: QLambdaDecomposition) -> TranslationAction:
@@ -65,12 +63,3 @@ def equivalent(d1: QLambdaDecomposition, d2: QLambdaDecomposition) -> bool:
     """Triangle equivalence of the singularity categories, decided at
     descriptor level: equal multisets of component types."""
     return descriptor(d1) == descriptor(d2)
-
-
-def is_projective_vertex(t: ExtDynkinType, w: Weight, i: int) -> bool:
-    """V_i is projective iff i = 0 or the weight at i is nonzero."""
-    if not is_quasi_dominant(t, w):
-        raise DomainError("projectivity test requires a quasi-dominant weight")
-    if not 0 <= i <= t.n:
-        raise DomainError(f"vertex {i} out of range for {t}")
-    return i == 0 or w[i] != ZERO

@@ -241,15 +241,6 @@ def format_field_elem(x: FieldElem) -> str:
     return f"{x.re}{sign}{im}"
 
 
-def compare(a: FieldElem, b: FieldElem) -> int:
-    """-1, 0 or 1 for the total order on the field; each operand is a field
-    element, an int or a Fraction, or TypeError is raised."""
-    ka, kb = _order_key(a), _order_key(b)
-    if ka is None or kb is None:
-        raise TypeError(f"cannot order {a!r} against {b!r}")
-    return (ka > kb) - (ka < kb)
-
-
 class Weight(Frozen):
     """An immutable label from the field at each vertex 0..n.
 

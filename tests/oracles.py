@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values,
 the seeded input generator of the parser fuzz tests, and the helpers only
 tests need: parsing printed elements, checking vertex permutations and the
-Schedler configuration.
+Schedler configuration, and the singularity descriptor read off the root
+system.
 
 Everything here works from first principles (path enumeration, span ranks
 over exact rationals) and never calls the layered engine it checks.  The
@@ -321,6 +322,86 @@ def schedler_configuration(t) -> Weight:
     """(1 - sum_{i>=1} delta_i, 1, 1, ..., 1)."""
     d = delta_vector(t)
     return Weight.of([1 - sum(d[1:])] + [1] * t.n)
+
+
+# the singularity descriptor from the root system: Phi_lambda, the positive
+# roots orthogonal to the weight, read on the Dynkin part 1..n
+
+def figure1_dynkin_edges(family: str, n: int) -> set[tuple[int, int]]:
+    """The edges (i, j), i < j, of the Figure-1 Dynkin diagram on 1..n."""
+    if family == "A":
+        return {(i, i + 1) for i in range(1, n)}
+    if family == "D":
+        return {(1, 2), (n - 2, n - 1), (n - 2, n)} | {(i, i + 1) for i in range(2, n - 2)}
+    return {6: {(1, 4), (2, 3), (3, 4), (4, 5), (5, 6)},
+            7: {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)},
+            8: {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)}}[n]
+
+
+def root_form(edges: set[tuple[int, int]]):
+    """The form (a, b) = a^T (2I - A) b on coefficient tuples over 1..n."""
+    def form(a, b):
+        return (2 * sum(x * y for x, y in zip(a, b))
+                - sum(a[i - 1] * b[j - 1] + a[j - 1] * b[i - 1] for i, j in edges))
+    return form
+
+
+def positive_roots(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, ...]]:
+    """The positive roots as coefficient tuples over the simple roots 1..n:
+    the simple roots and what reflecting them reaches while it stays
+    positive (s_i sends only alpha_i out of the positive roots)."""
+    form = root_form(edges)
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots, todo = set(simple), list(simple)
+    while todo:
+        a = todo.pop()
+        for e in simple:
+            c = form(a, e)
+            b = tuple(x - c * y for x, y in zip(a, e))
+            if min(b) >= 0 and b not in roots:
+                roots.add(b)
+                todo.append(b)
+    return roots
+
+
+# an irreducible ADE root system is fixed by its rank and its number of
+# positive roots
+ADE_BY_RANK_AND_SIZE = ({(r, r * (r + 1) // 2): f"A{r}" for r in range(1, 9)}
+                        | {(r, r * (r - 1)): f"D{r}" for r in range(4, 9)}
+                        | {(6, 36): "E6", (7, 63): "E7", (8, 120): "E8"})
+
+
+def root_descriptor(t, w, roots: set[tuple[int, ...]]) -> tuple[str, ...]:
+    """The sorted Dynkin types of the components of Phi_lambda, for any
+    weight w on t, not only a quasi-dominant one; roots are the positive
+    roots of the Dynkin part, from positive_roots.
+
+    lambda . alpha is sum_i w_i alpha_i over 1..n, summed on the real and
+    the imaginary parts of the entries apart.
+    The simple roots of Phi_lambda are its indecomposable roots, two simple
+    roots are joined when their form is nonzero, and a root of Phi_lambda
+    lies in the one component whose simple roots it is not orthogonal to.
+    """
+    form = root_form(figure1_dynkin_edges(t.family, t.n))
+    lam = [(x.re, x.im) for x in w.entries[1:]]
+    zero = [a for a in roots
+            if sum(c * re for c, (re, _) in zip(a, lam)) == 0
+            and sum(c * im for c, (_, im) in zip(a, lam)) == 0]
+    members = set(zero)
+    simple = [a for a in zero
+              if not any(tuple(x - y for x, y in zip(a, b)) in members for b in zero)]
+    types, left = [], set(simple)
+    while left:
+        comp, todo = set(), [left.pop()]
+        while todo:
+            a = todo.pop()
+            comp.add(a)
+            near = {b for b in left if form(a, b)}
+            left -= near
+            todo.extend(near)
+        size = sum(1 for a in zero if any(form(a, b) for b in comp))
+        types.append(ADE_BY_RANK_AND_SIZE[len(comp), size])
+    return tuple(sorted(types))
 
 
 # the slots of "a + b i", each filled with a valid choice or a near miss

@@ -1,25 +1,12 @@
-import pytest
-
 from preproj.dynkin import ExtDynkinType, build_extended, cartan
-from preproj.errors import DomainError
 from preproj.fixtures import e_type_sequences
-from preproj.intersection import (ext_dims, intersection_matrix,
-                                  neighbour_sequence, smooth_resolution)
+from preproj.intersection import ext_dims, intersection_matrix, smooth_resolution
 from preproj.knitting import knit
 from preproj.weights import ONE, ZERO, dot_delta
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
                 + [ExtDynkinType("E", n) for n in (6, 7, 8)])
-
-
-def test_neighbour_sequences_examples():
-    t7 = ExtDynkinType("E", 7)
-    assert neighbour_sequence(t7, 4).middle == (3, 5)
-    assert neighbour_sequence(t7, 1).middle == (0, 2)
-    assert neighbour_sequence(ExtDynkinType("D", 4), 2).middle == (0, 1, 3, 4)
-    with pytest.raises(DomainError):
-        neighbour_sequence(t7, 0)
 
 
 def test_ext_dims_three_cases():
@@ -64,7 +51,7 @@ def test_neighbour_sequences_close_loop_with_knitting():
              [ExtDynkinType("E", n) for n in (6, 7, 8)]:
         q = build_extended(t)
         for i in range(1, t.n + 1):
-            middle = neighbour_sequence(t, i).middle
+            middle = q.neighbours(i)
             if 0 not in middle:
                 continue
             r = knit(t, set(middle), i)

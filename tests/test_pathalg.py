@@ -458,10 +458,17 @@ def test_certificate_corpus_is_frozen_and_expands_by_the_oracle():
 
 def test_cap_below_degree_rejected():
     t = ExtDynkinType("D", 4)
+    w0 = Weight.of([0] * 5)
     f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3")
-    with pytest.raises(DomainError):
-        verify_zero_product(t, Weight.of([0] * 5), [[f]], [[unit(3)]],
-                            degree_cap=2)
+    with pytest.raises(DomainError, match="above the cap 2"):
+        verify_zero_product(t, w0, [[f]], [[unit(3)]], degree_cap=2)
+    assert verify_zero_product(t, w0, [[f]], [[unit(3)]], degree_cap=4).failed_entry == (0, 0)
+    # a cap is None or an int >= 0, and a bool is not an int here
+    zero = [[unit(3)]], [[unit(2)]]
+    assert verify_zero_product(t, w0, *zero, degree_cap=0).ok
+    for cap in (-1, -5, True, False, 2.0, "2"):
+        with pytest.raises(DomainError, match="degree cap"):
+            verify_zero_product(t, w0, *zero, degree_cap=cap)
 
 
 def test_membership_with_nonzero_weight():
@@ -695,8 +702,13 @@ def test_verify_zero_product_identity_sanity():
 
 def test_verify_zero_product_shape_check():
     t = ExtDynkinType("D", 4)
-    with pytest.raises(DomainError):
-        verify_zero_product(t, Weight.of([0] * 5), [[unit(2)]], [])
+    a0 = elem(t, "1 * a0 : 0->2")
+    # every psi row has len(phi) entries and every phi row len(phi[0])
+    for psi, phi in (([[unit(2)]], []), ([], [[a0]]), ([[a0], []], [[a0]]),
+                     ([[a0], [a0, a0]], [[a0]]), ([[a0, a0]], [[a0], [a0, a0]]),
+                     ([[a0, a0]], [[a0, a0], [a0]])):
+        with pytest.raises(DomainError, match="matrix shapes are not composable"):
+            verify_zero_product(t, Weight.of([0] * 5), psi, phi)
 
 
 def test_verify_zero_product_reports_failure_entry():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import is_involution, preserves
-from preproj.dynkin import ExtDynkinType, build_extended
+from oracles import (figure1_dynkin_edges, is_involution, positive_roots, preserves,
+                     root_descriptor)
+from preproj.dynkin import ExtDynkinType, build_dynkin, build_extended
 from preproj.errors import DomainError
-from preproj.singularity import (descriptor, equivalent, is_projective_vertex,
-                                 q_lambda_decompose, translation_permutation)
-from preproj.weights import Weight, epsilon0
+from preproj.singularity import (descriptor, equivalent, q_lambda_decompose,
+                                 translation_permutation)
+from preproj.weights import FieldElem, Weight, epsilon0, is_quasi_dominant, quasi_dominantize
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
@@ -84,16 +85,6 @@ def test_smooth_vs_most_singular_not_equivalent():
     assert not equivalent(smooth, q_lambda_decompose(t, epsilon0(t)))
 
 
-def test_is_projective_vertex():
-    t = ExtDynkinType("D", 4)
-    w = Weight.of([3, 1, 0, 0, 0])
-    assert is_projective_vertex(t, w, 0)
-    assert is_projective_vertex(t, w, 1)
-    assert not is_projective_vertex(t, w, 2)
-    with pytest.raises(DomainError):
-        is_projective_vertex(t, Weight.of([0, -1, 0, 0, 0]), 1)
-
-
 def random_quasi_dominant(rng, t):
     entries = [Fraction(rng.randint(-5, 5))]
     for _ in range(t.n):
@@ -134,3 +125,36 @@ def test_equivalence_relation_properties():
             for c in decs[:15]:
                 if equivalent(a, b) and equivalent(b, c):
                     assert equivalent(a, c)
+
+
+@pytest.mark.parametrize("t", ALL_EXTENDED, ids=str)
+def test_oracle_figure1_diagram_is_the_dynkin_quiver(t):
+    edges = figure1_dynkin_edges(t.family, t.n)
+    adjacency = {v: tuple(sorted({j for i, j in edges if i == v} | {i for i, j in edges if j == v}))
+                 for v in range(1, t.n + 1)}
+    assert adjacency == build_dynkin(t.dynkin).adjacency()
+
+
+def test_descriptor_is_the_root_system_orthogonal_to_the_weight():
+    # Phi_lambda, the positive roots orthogonal to lambda, is read off the
+    # weight as given; quasi_dominantize's Weyl group element carries it to
+    # the root system of the subgraph on I_lambda, so the types agree
+    rng = random.Random(1013)
+    sizes = {"A": lambda n: n * (n + 1) // 2, "D": lambda n: n * (n - 1),
+             "E": {6: 36, 7: 63, 8: 120}.get}
+    not_quasi_dominant, seen = 0, set()
+    for t in ALL_EXTENDED:
+        roots = positive_roots(t.n, figure1_dynkin_edges(t.family, t.n))
+        assert len(roots) == sizes[t.family](t.n)
+        for k in range(40):
+            gaussian = k % 4 == 0
+            entries = [0 if rng.random() < 0.5
+                       else FieldElem(rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0)
+                       for _ in range(t.n + 1)]
+            w = Weight.of(entries)
+            not_quasi_dominant += not is_quasi_dominant(t, w)
+            types = root_descriptor(t, w, roots)
+            assert types == descriptor(q_lambda_decompose(t, quasi_dominantize(t, w)[0])).types, \
+                (t, w)
+            seen.add(types)
+    assert not_quasi_dominant > 400 and len(seen) > 30
