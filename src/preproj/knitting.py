@@ -242,7 +242,7 @@ def extract_maps(r: KnitResult) -> ExtractedMaps:
     # every psi entry starts at the target, so the products lie in its summand
     model = models[r.target]
     columns = [model.nf(multiply(psi[k], PathElement.of_path(rep))) for k, rep in unknowns]
-    _, _, solutions = eliminate(columns)
+    _, solutions = eliminate(columns)
     if len(solutions) != 1:
         return ExtractedMaps(None, None, None)
     terms: list[dict[Path, FieldElem]] = [{} for _ in summands]

@@ -6,9 +6,11 @@ one projective summand e_v Pi^lambda (the paths that start at v) at a time:
 filtering by path length, each new layer is presented by symbols
 (basis element, arrow) modulo one relation row per lower basis element, and
 one exact elimination, ``eliminate``, yields multiplication tables.  It is
-one Gauss-Jordan pass that keeps its rows reduced as they are added, and
-each layer's elimination is stored once, as a ``Step``; raw relation row r
-of degree d is read off as c.rho_v for c = layers[d-2][r].  Neither
+one Gauss-Jordan pass that keeps its rows reduced as they are added, keyed
+by pivot column.  A pivot symbol's table entry is read off the symbol half
+of its reduced row, and the layer's ``Step`` keeps only the provenance
+half, keyed by the symbol, and the null rows; raw relation row r of
+degree d is read off as c.rho_v for c = layers[d-2][r].  Neither
 a symbol nor a relation row c.rho_w leaves the source of c, so a summand is
 built on its own, and ``model_for`` hands out one summand per vertex, each
 built only as far as the queries in it need.  Because
@@ -44,8 +46,9 @@ class Path(Frozen):
     one does not compose.  ``then`` and ``concat`` extend a valid path by an
     arrow or a valid path, so they check only the join and build the result
     with the trusted ``_path``.  The target and the hash are stored: paths
-    key every table of a model.  The hash folds in one arrow id at a time,
-    so an extension extends its prefix's hash."""
+    key the terms of every element (a model's tables are keyed by
+    (basis id, arrow id) instead).  The hash folds in one arrow id at a
+    time, so an extension extends its prefix's hash."""
 
     __slots__ = ("source", "arrows", "target", "_hash")
     _args = __slots__[:2]
@@ -128,24 +131,20 @@ def parse_path(q: LabelledDoubleQuiver, text: str, source: int | None = None) ->
 class PathElement:
     """A finite field-linear combination of paths sharing source and target.
 
-    The public constructor drops zero coefficients and checks the shared
-    endpoints; ``multiply`` and ``scale`` build their results with the
+    The public constructor coerces each coefficient with ``FieldElem.of``,
+    drops the zeros and checks the shared endpoints; ``multiply`` and ``scale`` build their results with the
     trusted ``_element``, since a product or a multiple of elements shares
     its endpoints by construction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Path, FieldElem] | None = None):
-        clean = {p: c for p, c in (terms or {}).items() if c}
+        clean = {p: x for p, c in (terms or {}).items() if (x := FieldElem.of(c))}
         srcs = {p.source for p in clean}
         tgts = {p.target for p in clean}
         if len(srcs) > 1 or len(tgts) > 1:
             raise DomainError("paths in an element must share source and target")
         self.terms = clean
-
-    @staticmethod
-    def zero() -> "PathElement":
-        return PathElement({})
 
     @staticmethod
     def of_path(p: Path, coef=1) -> "PathElement":
@@ -262,15 +261,13 @@ def relation_set(q: LabelledDoubleQuiver, weight: dict[int, FieldElem]) -> dict[
 
 class Step(NamedTuple):
     """The elimination that built layer d of a weight-0 summand, shared by
-    the deformed summands at its vertex: the (basis id, arrow) symbols and
-    their index by (basis id, arrow id), and ``eliminate``'s reduced rows,
-    pivot rows and null rows.  Raw relation row r is c.rho_v for
-    c = layers[d-2][r] and v the target of c."""
+    the deformed summands at its vertex: the provenance of each pivot
+    symbol's reduced row, keyed like ``mul`` by (basis id, arrow id), and
+    the provenance of each null row.  Raw relation row r is c.rho_v for
+    c = layers[d-2][r] and v the target of c; the symbol half of a reduced
+    row is not kept, since ``mul`` holds the same numbers."""
 
-    syms: list[tuple[int, Arrow]]
-    sym_index: dict[tuple[int, int], int]
-    rows: list[tuple[dict[int, FieldElem], dict[int, FieldElem]]]
-    pivots: dict[int, int]
+    prov: dict[tuple[int, int], dict[int, FieldElem]]
     nulls: list[dict[int, FieldElem]]
 
 
@@ -306,7 +303,7 @@ class QuotientModel:
             self.layers: list[list[int]] = [graded.layers[0]]
         else:
             self.basis = [trivial_path(source)]
-            self.steps = [Step([], {}, [], {}, [])]
+            self.steps = [Step({}, [])]
             self.layers = [[0]]
 
     # -- layer construction -------------------------------------------------
@@ -324,11 +321,15 @@ class QuotientModel:
         else:
             self._build_deformed_layer(d)
 
+    def _symbols(self, d: int) -> list[tuple[int, Arrow]]:
+        """The symbols of layer d, (basis id, arrow), in column order."""
+        basis, arrows_from = self.basis, self.quiver.arrows_from
+        return [(bid, a) for bid in self.layers[d - 1] for a in arrows_from(basis[bid].target)]
+
     def _build_graded_layer(self, d: int) -> None:
         """Symbols, relation rows and their elimination; at weight 0 every
         product is homogeneous, so the rows have no tails."""
-        syms = [(bid, a) for bid in self.layers[d - 1]
-                for a in self.quiver.arrows_from(self.basis[bid].target)]
+        syms = self._symbols(d)
         sym_index = {(bid, a.id): k for k, (bid, a) in enumerate(syms)}
         sym_rows: list[dict[int, FieldElem]] = []
         for cid in self.layers[d - 2] if d >= 2 else ():
@@ -339,26 +340,24 @@ class QuotientModel:
                     k = sym_index[(bid, second.id)]
                     sym[k] = sym.get(k, ZERO) + coef * sign
             sym_rows.append({k: x for k, x in sym.items() if x})
-        rows, pivots, nulls = eliminate(sym_rows)
+        rows, nulls = eliminate(sym_rows)
 
-        # non-pivot symbols become the new layer's basis
-        new_layer: list[int] = []
+        # a non-pivot symbol becomes a basis element of the new layer; a pivot
+        # symbol's entry is minus the rest of its reduced row, whose columns
+        # all come before the pivot and so already name basis elements
         sym_to_basis: dict[int, int] = {}
+        prov: dict[tuple[int, int], dict[int, FieldElem]] = {}
         for k, (bid, a) in enumerate(syms):
-            if k in pivots:
+            key = (bid, a.id)
+            if k in rows:
+                sym, prov[key] = rows[k]
+                self.mul[key] = {sym_to_basis[k2]: -x for k2, x in sym.items() if k2 != k}
                 continue
             sym_to_basis[k] = len(self.basis)
-            new_layer.append(len(self.basis))
+            self.mul[key] = {len(self.basis): ONE}
             self.basis.append(self.basis[bid].then(a))
-        self.layers.append(new_layer)
-
-        for k, (bid, a) in enumerate(syms):
-            if k in sym_to_basis:
-                self.mul[(bid, a.id)] = {sym_to_basis[k]: ONE}
-                continue
-            self.mul[(bid, a.id)] = {sym_to_basis[k2]: -x
-                                     for k2, x in rows[pivots[k]][0].items() if k2 != k}
-        self.steps.append(Step(syms, sym_index, rows, pivots, nulls))
+        self.layers.append(list(sym_to_basis.values()))
+        self.steps.append(Step(prov, nulls))
 
     def _build_deformed_layer(self, d: int) -> None:
         """The weight-0 layer plus this weight's tails: the raw tail of a
@@ -385,15 +384,15 @@ class QuotientModel:
                     for b2, c2 in mul[(bid, second.id)].items():
                         tail[b2] = tail.get(b2, ZERO) + coef * c2
             tails.append({k: x for k, x in tail.items() if x})
-        reduced = _reduced_tails(tails, step.rows, step.nulls)
+        reduced = _reduced_tails(tails, step.prov, step.nulls)
         self.layers.append(graded.layers[d])
-        for k, (bid, a) in enumerate(step.syms):
+        for bid, a in self._symbols(d):
             key = (bid, a.id)
-            ridx = step.pivots.get(k)
-            if ridx is None or not reduced[ridx]:
+            tail = reduced.get(key)
+            if tail is None:
                 mul[key] = graded.mul[key]
                 continue
-            below = low[key] = {b2: -x for b2, x in reduced[ridx].items()}
+            below = low[key] = {b2: -x for b2, x in tail.items()}
             mul[key] = {**graded.mul[key], **below}
 
     # -- normal forms --------------------------------------------------------
@@ -466,10 +465,10 @@ class QuotientModel:
         for d in range(x.degree, 1, -1):
             step, raw, lower = steps[d], layers[d - 2], pending[d - 1]
             for (bid, a, r), coef in pending[d].items():
-                ridx = step.pivots.get(step.sym_index[(bid, a.id)])
-                if ridx is None or not coef:
+                prov = step.prov.get((bid, a.id))
+                if prov is None or not coef:
                     continue
-                for j, pj in step.rows[ridx][1].items():
+                for j, pj in prov.items():
                     cid = raw[j]
                     k = coef * pj
                     cert[(cid, r)] = cert.get((cid, r), ZERO) + k
@@ -502,37 +501,36 @@ def _axpy(dst: dict, src: dict, coef) -> None:
         dst[k] = dst.get(k, ZERO) + coef * v
 
 
-def _clear(sym: dict, prov: dict, rows: list[tuple[dict, dict]], pivots: dict[int, int]) -> None:
+def _clear(sym: dict, prov: dict, rows: dict[int, tuple[dict, dict]]) -> None:
     """Clear every pivot column of sym with the reduced rows.  A reduced row
     holds no pivot column but its own, so clearing one column brings in no
     other."""
-    for pk in [k for k in sym if k in pivots]:
-        row_sym, row_prov = rows[pivots[pk]]
+    for pk in [k for k in sym if k in rows]:
+        row_sym, row_prov = rows[pk]
         neg = -sym[pk]
         _axpy(sym, row_sym, neg)
         _axpy(prov, row_prov, neg)
 
 
 def eliminate(sym_rows: list[dict[int, FieldElem]]
-              ) -> tuple[list[tuple[dict[int, FieldElem], dict[int, FieldElem]]],
-                         dict[int, int], list[dict[int, FieldElem]]]:
+              ) -> tuple[dict[int, tuple[dict[int, FieldElem], dict[int, FieldElem]]],
+                         list[dict[int, FieldElem]]]:
     """Reduced echelon form of the rows on their columns; the one exact
     elimination of the package, one Gauss-Jordan pass.
 
-    Returns the reduced rows as (sym, prov) pairs, each sym 1 at its pivot,
-    its largest column, and prov its combination of the input rows; the row
-    index of each pivot column; and the provenance of every input row that
-    reduced to zero.  A new row is cleared with the rows so far, and its
-    pivot column is then cleared from them, so the rows stay reduced.  The
-    null row j has coefficient 1 at j and its other entries on earlier
-    independent rows, so the null provenances are the reduced basis of the
-    left nullspace."""
-    rows: list[tuple[dict[int, FieldElem], dict[int, FieldElem]]] = []
-    pivots: dict[int, int] = {}
+    Returns the reduced rows, keyed by pivot column in the order the pivots
+    were found, as (sym, prov) pairs, each sym 1 at its pivot, its largest
+    column, and prov its combination of the input rows; and the provenance
+    of every input row that reduced to zero.  A new row is cleared with the
+    rows so far, and its pivot column is then cleared from them, so the rows
+    stay reduced.  The null row j has coefficient 1 at j and its other
+    entries on earlier independent rows, so the null provenances are the
+    reduced basis of the left nullspace."""
+    rows: dict[int, tuple[dict[int, FieldElem], dict[int, FieldElem]]] = {}
     nulls: list[dict[int, FieldElem]] = []
     for ridx, sym in enumerate(sym_rows):
         sym, prov = dict(sym), {ridx: ONE}
-        _clear(sym, prov, rows, pivots)
+        _clear(sym, prov, rows)
         sym = {k: x for k, x in sym.items() if x}
         prov = {k: x for k, x in prov.items() if x}
         if not sym:
@@ -543,34 +541,33 @@ def eliminate(sym_rows: list[dict[int, FieldElem]]
             inv = ONE / sym[pk]
             sym = {k: x * inv for k, x in sym.items()}
             prov = {k: x * inv for k, x in prov.items()}
-        for i, (row_sym, row_prov) in enumerate(rows):
+        for k, (row_sym, row_prov) in rows.items():
             if pk in row_sym:
                 neg = -row_sym[pk]
                 _axpy(row_sym, sym, neg)
                 _axpy(row_prov, prov, neg)
-                rows[i] = ({k: x for k, x in row_sym.items() if x},
-                           {k: x for k, x in row_prov.items() if x})
-        pivots[pk] = len(rows)
-        rows.append((sym, prov))
-    return rows, pivots, nulls
+                rows[k] = ({c: x for c, x in row_sym.items() if x},
+                           {r: x for r, x in row_prov.items() if x})
+        rows[pk] = (sym, prov)
+    return rows, nulls
 
 
-def _reduced_tails(tails: list[dict[int, FieldElem]], rows: list[tuple[dict, dict]],
-                   nulls: list[dict[int, FieldElem]]) -> list[dict[int, FieldElem]]:
-    """The tail of each reduced row, sum_r prov[r] * tails[r].  A row whose
-    symbols vanish must lose its tail too, or the deformation would not be
-    flat."""
-    def combine(prov: dict[int, FieldElem]) -> dict[int, FieldElem]:
+def _reduced_tails(tails: list[dict[int, FieldElem]], prov: dict[tuple[int, int], dict],
+                   nulls: list[dict[int, FieldElem]]) -> dict[tuple[int, int], dict[int, FieldElem]]:
+    """The nonzero tails of the reduced rows, sum_r prov[r] * tails[r],
+    keyed by their pivot symbols.  A row whose symbols vanish must lose its
+    tail too, or the deformation would not be flat."""
+    def combine(p: dict[int, FieldElem]) -> dict[int, FieldElem]:
         out: dict[int, FieldElem] = {}
-        for r, c in prov.items():
+        for r, c in p.items():
             _axpy(out, tails[r], c)
         return {k: x for k, x in out.items() if x}
 
-    for prov in nulls:
-        if combine(prov):
+    for p in nulls:
+        if combine(p):
             raise InternalInconsistency(
                 "relation row degenerated below the associated graded algebra")
-    return [combine(prov) for _, prov in rows]
+    return {key: tail for key, p in prov.items() if (tail := combine(p))}
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +590,10 @@ def _summands(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
 def model_for(t: ExtDynkinType, w: Weight) -> dict[int, QuotientModel]:
     """The summands e_v Pi^lambda of Pi^lambda(~Q), by vertex; a summand
     builds its layers when a query in it first needs them."""
+    if w.__class__ is not Weight:
+        raise DomainError(f"weight must be a Weight, not {w!r}")
     _check_length(t, w)
-    key = (t, tuple(FieldElem.of(w[i]) for i in range(t.n + 1)))
+    key = (t, w.entries)
     models = _MODELS.get(key)
     if models is None:
         graded = model_for(t, Weight.of([0] * (t.n + 1))) if any(key[1]) else None

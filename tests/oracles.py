@@ -125,7 +125,7 @@ def parse_element(quiver, text):
     """Parse the textual format emitted by preproj.pathalg.format_element."""
     text = text.strip()
     if text == "0":
-        return PathElement.zero()
+        return PathElement()
     out = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()

@@ -238,7 +238,7 @@ def null_vectors(columns):
     """The null-row provenances of eliminate(columns) as dense vectors:
     extract_maps' reduced nullspace basis of sum_j v_j columns[j] = 0."""
     return [[null.get(j, ZERO) for j in range(len(columns))]
-            for null in eliminate(columns)[2]]
+            for null in eliminate(columns)[1]]
 
 
 def _vector_is_null(columns, v):

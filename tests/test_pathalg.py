@@ -199,7 +199,7 @@ def test_element_format_roundtrip():
     q = build_extended(t)
     x = elem(t, "1 * a0.~a1 : 0->1  +  -3/2 * a0.~a2.a5.~a5.a2.~a1 : 0->1")
     assert parse_element(q, format_element(x)) == x
-    assert parse_element(q, "0") == PathElement.zero()
+    assert parse_element(q, "0") == PathElement()
 
 
 def test_mixed_endpoints_rejected():
@@ -215,9 +215,25 @@ def test_mixed_endpoints_rejected():
             PathElement.sum(PathElement.of_path(parse_path(q, name)) for name in mixed)
 
 
+def test_constructor_coerces_coefficients_like_of_path():
+    q = build_extended(ExtDynkinType("A", 2))
+    p = parse_path(q, "a0.~a0")
+    for coef, want in (("1", 1), (True, 1), (Fraction(1, 2), "1/2"), ("1+i", "1+i")):
+        x = PathElement({p: coef})
+        assert x == PathElement.of_path(p, want)
+        assert all(c.__class__ is FieldElem for c in x.terms.values())
+    assert str(PathElement({p: True})) == "1 * a0.~a0 : 0->0"
+    # a zero is dropped after coercion, so the string "0" is dropped too
+    for zero in (0, "0", "0/5", False, ZERO):
+        assert PathElement({p: zero}).terms == {}
+    for bad in (0.5, [1], None):
+        with pytest.raises(DomainError):
+            PathElement({p: bad})
+
+
 def test_path_elements_have_no_hash():
     # the terms of an element are a mutable dict, so nothing may key on them
-    for x in (PathElement.zero(), PathElement.of_path(trivial_path(0), "1/2")):
+    for x in (PathElement(), PathElement.of_path(trivial_path(0), "1/2")):
         with pytest.raises(TypeError):
             hash(x)
 
@@ -232,7 +248,7 @@ def test_sum_keeps_the_terms_of_repeated_addition_in_order():
     total = PathElement.sum([x, y, z])
     assert list(total.terms.items()) == [(p2, 1), (p3, 1), (p1, 2)]
     assert list((x + y + z).terms.items()) == list(total.terms.items())
-    assert x - x == PathElement.zero() == PathElement.sum([])
+    assert x - x == PathElement() == PathElement.sum([])
     assert (x + y) - y == x
 
     def pairwise(parts):
@@ -518,7 +534,9 @@ def test_deformed_models_share_the_weight0_elimination():
     m0 = model_for(t, Weight.of([0] * 6))
     deformed = [model_for(t, epsilon0(t)), model_for(t, Weight.of([1, "1/2", 0, "2/3", 5, -1])),
                 model_for(t, Weight.of(["1+i", 0, "-i", 0, 0, 2]))]
+    tails = 0
     for v in range(6):
+        deformed[0][v].extend_to(4)
         deformed[1][v].extend_to(6)
         deformed[2][v].extend_to(3)
         assert m0[v].graded is None and m0[v].max_degree() >= 6
@@ -527,6 +545,15 @@ def test_deformed_models_share_the_weight0_elimination():
             assert m.graded is m0[v]
             assert m.basis is m0[v].basis and m.steps is m0[v].steps
             assert all(m.layers[d] is m0[v].layers[d] for d in range(m.max_degree() + 1))
+            # only a pivot symbol of its layer's step has a tail, low keeps
+            # only nonzero tails, and a tail is added to the shared weight-0
+            # entry; every other entry is the weight-0 dict itself
+            for key, below in m.low.items():
+                assert below and key in m.steps[len(m.basis[key[0]]) + 1].prov
+                assert m.mul[key] == {**m0[v].mul[key], **below}
+            assert all(m.mul[key] is m0[v].mul[key] for key in m.mul if key not in m.low)
+            tails += len(m.low)
+    assert tails
     zero_models = [k for k in pathalg._MODELS if k[0] == t and not any(k[1])]
     assert zero_models == [(t, (ZERO,) * 6)]
 
@@ -549,6 +576,19 @@ def test_model_for_rejects_a_weight_of_the_wrong_length(entries):
     f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3")
     with pytest.raises(DomainError, match=f"weight has {entries} entries but ~D4 has 5 vertices"):
         ideal_member(t, Weight.of([0] * entries), f)
+
+
+@pytest.mark.parametrize("entries", [[0] * 5, (0,) * 5, [ZERO] * 5, (ZERO,) * 5])
+def test_model_for_rejects_a_weight_that_is_not_a_weight(entries):
+    # a list would be recorded in the certificate, whose check reads the
+    # entries of a Weight
+    t = ExtDynkinType("D", 4)
+    f = elem(t, "1 * a4.~a0.a0.~a3 : 4->3")
+    for call in (lambda: model_for(t, entries), lambda: ideal_member(t, entries, f)):
+        with pytest.raises(DomainError, match="weight must be a Weight"):
+            call()
+    cert = ideal_member(t, Weight.of(entries), f)
+    assert cert is None or check_certificate(t, cert)
 
 
 def test_model_for_dynkin_is_one_model_per_type():
@@ -652,15 +692,17 @@ def test_elimination_clears_pivots_brought_in_by_earlier_rows():
     # the third row meets pivot 5 first; clearing it with the first row
     # brings in column 3, a pivot by then, so the row vanishes
     sym_rows = [{5: ONE, 3: ONE}, {3: ONE}, {5: ONE}]
-    rows, pivots, nulls = pathalg.eliminate(sym_rows)
-    assert len(rows) == 2 and pivots == {5: 0, 3: 1}
-    assert [sym for sym, _ in rows] == [{5: 1}, {3: 1}]
-    assert [prov for _, prov in rows] == [{0: 1, 1: -1}, {1: 1}]
+    rows, nulls = pathalg.eliminate(sym_rows)
+    assert list(rows) == [5, 3]
+    assert [sym for sym, _ in rows.values()] == [{5: 1}, {3: 1}]
+    assert [prov for _, prov in rows.values()] == [{0: 1, 1: -1}, {1: 1}]
     assert nulls == [{0: -1, 1: 1, 2: 1}]
-    # tails whose null combination vanishes reduce like the symbols
-    assert pathalg._reduced_tails([{7: ONE}, {7: ONE}, {}], rows, nulls) == [{}, {7: 1}]
+    # tails whose null combination vanishes reduce like the symbols; the
+    # row of pivot 5 loses its tail, so only pivot 3 keeps one
+    prov = {pk: p for pk, (_, p) in rows.items()}
+    assert pathalg._reduced_tails([{7: ONE}, {7: ONE}, {}], prov, nulls) == {3: {7: 1}}
     with pytest.raises(InternalInconsistency):
-        pathalg._reduced_tails([{7: ONE}, {}, {}], rows, nulls)
+        pathalg._reduced_tails([{7: ONE}, {}, {}], prov, nulls)
 
 
 def test_elimination_is_reduced_and_tracks_provenance():
@@ -676,13 +718,13 @@ def test_elimination_is_reduced_and_tracks_provenance():
         # are kept reduced as they come, so each prefix must end reduced
         systems += [sym_rows[:n] for n in range(1, len(sym_rows) + 1)]
     for sym_rows in systems:
-        rows, pivots, nulls = pathalg.eliminate(sym_rows)
+        rows, nulls = pathalg.eliminate(sym_rows)
         assert len(rows) == rank_of_rows(sym_rows) == len(sym_rows) - len(nulls)
-        assert {max(sym): i for i, (sym, _) in enumerate(rows)} == pivots
-        for sym, _ in rows:
+        assert all(max(sym) == pk for pk, (sym, _) in rows.items())
+        for sym, _ in rows.values():
             assert sym[max(sym)] == 1 and all(sym.values())
-            assert not (set(sym) - {max(sym)}) & set(pivots)
-        for prov, want in [(prov, sym) for sym, prov in rows] + [(n, {}) for n in nulls]:
+            assert not (set(sym) - {max(sym)}) & set(rows)
+        for prov, want in [(prov, sym) for sym, prov in rows.values()] + [(n, {}) for n in nulls]:
             got = {}
             for r, c in prov.items():
                 for k, x in sym_rows[r].items():
