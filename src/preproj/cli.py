@@ -14,7 +14,7 @@ import sys
 from typing import Callable
 
 from . import fixtures
-from .dynkin import _INTEGER, DynkinType, ExtDynkinType, parse_type
+from .dynkin import _INTEGER, DynkinType, ExtDynkinType, _require_extended, parse_type
 from .errors import DomainError, InternalInconsistency
 from .intersection import intersection_matrix, smooth_resolution
 from .knitting import extract_maps, knit, render_pattern
@@ -43,12 +43,6 @@ def _cert_record(cert: MembershipCertificate) -> dict:
                    "vertex": v, "right": str(w)}
                   for c, u, v, w in cert.terms],
     }
-
-
-def _require_extended(t) -> ExtDynkinType:
-    if not isinstance(t, ExtDynkinType):
-        raise DomainError(f"an extended type like ~{t} is required here")
-    return t
 
 
 def _weight_for(t: ExtDynkinType, text: str | None) -> Weight:
@@ -138,8 +132,6 @@ def cmd_knit(args) -> tuple[int, dict, Lines]:
 
 def cmd_dims(args) -> tuple[int, dict, Lines]:
     t = parse_type(args.type)
-    if isinstance(t, ExtDynkinType):
-        raise DomainError("dims expects a Dynkin type like D4 (no ~ prefix)")
     dims, total = graded_dims_pi(t)
     h = hom_matrix(t)
     data = {"type": str(t), "graded_dims": list(dims), "total": total,

@@ -132,6 +132,19 @@ class ExtDynkinType(_RankedType):
         return DynkinType(self.family, self.n)
 
 
+def _require_extended(t) -> ExtDynkinType:
+    if not isinstance(t, ExtDynkinType):
+        raise DomainError(f"an extended type like ~{t} is required here")
+    return t
+
+
+def _require_dynkin(t) -> DynkinType:
+    if not isinstance(t, DynkinType):
+        raise DomainError(
+            f"a Dynkin type like {str(t).lstrip('~')} (no ~ prefix) is required here")
+    return t
+
+
 def parse_type(text: str) -> ExtDynkinType | DynkinType:
     """Parse "A5" / "D4" / "E7" or the extended forms "~A5" etc."""
     text = text.strip()
@@ -256,6 +269,7 @@ def build_extended(t: ExtDynkinType) -> LabelledDoubleQuiver:
     """The double of the extended Dynkin quiver with its canonical labels."""
     q = _EXTENDED.get(t)
     if q is None:
+        _require_extended(t)
         arrows: list[Arrow] = []
         for idx, tail, head in _ordinary_arrows(t):
             a = Arrow(idx, False, tail, head)
@@ -273,6 +287,7 @@ def build_dynkin(t: DynkinType) -> LabelledDoubleQuiver:
     """The double of the Dynkin quiver: the extended quiver minus vertex 0."""
     q = _DYNKIN.get(t)
     if q is None:
+        _require_dynkin(t)
         ext_n = max(t.n, 2) if t.family == "A" else t.n
         ext = build_extended(ExtDynkinType(t.family, ext_n))
         q = _DYNKIN[t] = ext.full_subquiver(set(range(1, t.n + 1)))
@@ -360,7 +375,7 @@ def nakayama(t: DynkinType) -> VertexPermutation:
     Identity for A_1, D_even, E_7, E_8; the unique order-2 automorphism
     for A_n (n >= 2), D_odd and E_6, in the canonical labelling.
     """
-    n = t.n
+    n = _require_dynkin(t).n
     verts = range(1, n + 1)
     if t.family == "A":
         return VertexPermutation.of({i: n + 1 - i for i in verts})

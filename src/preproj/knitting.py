@@ -77,7 +77,10 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
     q = build_extended(t)
     sinks = q.sink_class()
     columns = (frozenset(q.vertices) - sinks, sinks)   # indexed by col % 2
-    s = frozenset(int(v) for v in s_vertices)
+    vertices = (*s_vertices, target)
+    if any(v.__class__ is not int for v in vertices):
+        raise DomainError(f"vertices must be ints, not S = {vertices[:-1]!r}, target {target!r}")
+    s = frozenset(vertices[:-1])
     if 0 not in s:
         raise DomainError("S must contain the extending vertex 0")
     if not s <= set(q.vertices):

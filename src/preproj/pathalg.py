@@ -132,9 +132,10 @@ class PathElement:
     """A finite field-linear combination of paths sharing source and target.
 
     The public constructor coerces each coefficient with ``FieldElem.of``,
-    drops the zeros and checks the shared endpoints; ``multiply`` and ``scale`` build their results with the
-    trusted ``_element``, since a product or a multiple of elements shares
-    its endpoints by construction."""
+    drops the zeros and checks the shared endpoints; ``multiply`` and
+    ``scale`` build their results with the trusted ``_element``, since a
+    product or a multiple of elements shares its endpoints by construction.
+    ``+`` and ``-`` take only another element."""
 
     __slots__ = ("terms",)
 
@@ -179,10 +180,10 @@ class PathElement:
         return PathElement(out)
 
     def __add__(self, other: "PathElement") -> "PathElement":
-        return PathElement.sum((self, other))
+        return PathElement.sum((self, other)) if isinstance(other, PathElement) else NotImplemented
 
     def __sub__(self, other: "PathElement") -> "PathElement":
-        return self + -other
+        return self + -other if isinstance(other, PathElement) else NotImplemented
 
     def scale(self, c) -> "PathElement":
         c = FieldElem.of(c)
@@ -590,8 +591,6 @@ def _summands(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
 def model_for(t: ExtDynkinType, w: Weight) -> dict[int, QuotientModel]:
     """The summands e_v Pi^lambda of Pi^lambda(~Q), by vertex; a summand
     builds its layers when a query in it first needs them."""
-    if w.__class__ is not Weight:
-        raise DomainError(f"weight must be a Weight, not {w!r}")
     _check_length(t, w)
     key = (t, w.entries)
     models = _MODELS.get(key)
@@ -611,9 +610,10 @@ def model_for_dynkin(t: DynkinType) -> dict[int, QuotientModel]:
 def graded_dims_pi(t: DynkinType) -> tuple[tuple[int, ...], int]:
     """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total: the sums
     of the summands' layer dimensions."""
+    models = model_for_dynkin(t)
     guard = 2 * t.coxeter_number + 2
     dims = [0] * (guard + 1)
-    for model in model_for_dynkin(t).values():
+    for model in models.values():
         for d in range(guard + 1):
             dim = model.layer_dims(d)
             if dim == 0:
@@ -647,15 +647,26 @@ class MembershipCertificate(NamedTuple):
 
 def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement) -> MembershipCertificate | None:
     """A certificate that x lies in the Pi^lambda relation ideal, or None
-    when it does not; the layered engine is complete, so no cap is needed."""
+    when it does not; the layered engine is complete, so no cap is needed.
+    Each arrow of x must be one of t's own, or equal to one."""
     models = model_for(t, w)
+    if x and x.source not in models:
+        raise DomainError(f"vertex {x.source} is not in {t}")
+    q = build_extended(t)
+    for p in x.terms:
+        for a in p.arrows:
+            if (own := q.arrow(a.name)) is not a and own != a:
+                raise DomainError(f"arrow {a.name}: {a.tail}->{a.head} is not an arrow of {t}")
     terms = models[x.source].certificate(x) if x else []
     return None if terms is None else MembershipCertificate(w, x, tuple(terms))
 
 
 def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
-    """Expand the certificate terms in the free algebra; no linear algebra."""
+    """Expand the certificate terms in the free algebra; no linear algebra.
+    A term whose paths do not meet at a vertex of t is rejected unexpanded."""
     rels = relation_set(build_extended(t), dict(enumerate(cert.weight.entries)))
+    if any(v not in rels or u.target != v or w.source != v for _, u, v, w in cert.terms):
+        return False
     return PathElement.sum(
         multiply(multiply(PathElement.of_path(u), rels[v]), PathElement.of_path(w)).scale(c)
         for c, u, v, w in cert.terms) == cert.element

@@ -12,6 +12,7 @@ arithmetic gives.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -33,6 +34,7 @@ def _exact(x) -> int | Fraction:
     return _canon(x)
 
 
+@functools.total_ordering
 class FieldElem(Frozen):
     """An immutable element a + b*i with exact rational a, b.
 
@@ -42,10 +44,11 @@ class FieldElem(Frozen):
     that form; arithmetic builds its already canonical results with the
     trusted ``_make``, and returns an operand, or its negative, for a zero
     term of a sum or a factor of 1 or -1; a negative that is 1 or -1 is the
-    shared ``ONE`` or ``MINUS_ONE``.  The total order is lexicographic
-    on (re, im): it extends the order on the rationals, is translation
-    invariant, and every element is below some integer, which is all the
-    theory needs from it.
+    shared ``ONE`` or ``MINUS_ONE``.  Every operator takes a field element,
+    int or Fraction (``_operand``); text enters only through ``of``.  The
+    total order is lexicographic on (re, im): it extends the order on the
+    rationals, is translation invariant, and every element is below some
+    integer, which is all the theory needs from it.
     """
 
     __slots__ = _args = ("re", "im")
@@ -56,16 +59,18 @@ class FieldElem(Frozen):
 
     @staticmethod
     def of(x) -> "FieldElem":
-        if isinstance(x, FieldElem):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _make(_canon(x))
+        o = x if x.__class__ is FieldElem else _operand(x)
+        if o is not None:
+            return o
         if isinstance(x, str):
             return parse_field_elem(x)
         raise DomainError(f"cannot coerce {x!r} to a field element")
 
     def __add__(self, other) -> "FieldElem":
-        o = other if other.__class__ is FieldElem else FieldElem.of(other)
+        if other.__class__ is FieldElem:
+            o = other
+        elif (o := _operand(other)) is None:
+            return NotImplemented
         if not (o.re or o.im):
             return self
         if not (self.re or self.im):
@@ -80,15 +85,12 @@ class FieldElem(Frozen):
         return _negative(self.re, self.im)
 
     def __sub__(self, other) -> "FieldElem":
-        o = other if other.__class__ is FieldElem else FieldElem.of(other)
-        if not (o.re or o.im):
-            return self
-        if not self.im and not o.im:
-            return _make(_canon(self.re - o.re))
-        return _make(_canon(self.re - o.re), _canon(self.im - o.im))
+        o = _operand(other)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other) -> "FieldElem":
-        return FieldElem.of(other) - self
+        o = _operand(other)
+        return NotImplemented if o is None else o + -self
 
     def __mul__(self, other) -> "FieldElem":
         if other.__class__ is not FieldElem:
@@ -96,7 +98,8 @@ class FieldElem(Frozen):
                 if other == -1:
                     return _negative(self.re, self.im)
                 return _make(_canon(self.re * other), _canon(self.im * other))
-            other = FieldElem.of(other)
+            if (other := _operand(other)) is None:
+                return NotImplemented
         sr, si, o_r, oi = self.re, self.im, other.re, other.im
         if not oi:
             if o_r == 1:
@@ -115,7 +118,10 @@ class FieldElem(Frozen):
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FieldElem":
-        o = other if other.__class__ is FieldElem else FieldElem.of(other)
+        if other.__class__ is FieldElem:
+            o = other
+        elif (o := _operand(other)) is None:
+            return NotImplemented
         # Fraction(p, q), never p / q: int operands must not give a float
         if not o.im:
             if not o.re:
@@ -124,14 +130,16 @@ class FieldElem(Frozen):
         norm = o.re * o.re + o.im * o.im
         return self * _make(_canon(Fraction(o.re, norm)), _canon(Fraction(-o.im, norm)))
 
+    def __rtruediv__(self, other) -> "FieldElem":
+        o = _operand(other)
+        return NotImplemented if o is None else o / self
+
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not FieldElem:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = FieldElem.of(other)
+        if other.__class__ is not FieldElem and (other := _operand(other)) is None:
+            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
@@ -141,23 +149,9 @@ class FieldElem(Frozen):
     def _key(self) -> tuple[int | Fraction, int | Fraction]:
         return (self.re, self.im)
 
-    # the order, like equality, takes only field elements, ints and
-    # Fractions; anything else has no place in it and gets NotImplemented
     def __lt__(self, other) -> bool:
-        o = _order_key(other)
-        return NotImplemented if o is None else self._key() < o
-
-    def __le__(self, other) -> bool:
-        o = _order_key(other)
-        return NotImplemented if o is None else self._key() <= o
-
-    def __gt__(self, other) -> bool:
-        o = _order_key(other)
-        return NotImplemented if o is None else self._key() > o
-
-    def __ge__(self, other) -> bool:
-        o = _order_key(other)
-        return NotImplemented if o is None else self._key() >= o
+        o = other if other.__class__ is FieldElem else _operand(other)
+        return NotImplemented if o is None else self._key() < o._key()
 
     def __str__(self) -> str:
         return format_field_elem(self)
@@ -169,11 +163,13 @@ class FieldElem(Frozen):
 _set_re, _set_im = FieldElem.re.__set__, FieldElem.im.__set__
 
 
-def _order_key(x) -> tuple[int | Fraction, int | Fraction] | None:
-    """(re, im) of a field element, int or Fraction; None for anything else."""
-    if x.__class__ is FieldElem:
-        return (x.re, x.im)
-    return (x, 0) if isinstance(x, (int, Fraction)) else None
+def _operand(x) -> FieldElem | None:
+    """x as a field element when it is one, an int (a bool included) or a
+    Fraction; None for anything else, which every operator answers with
+    NotImplemented, so that Python raises TypeError."""
+    if isinstance(x, FieldElem):
+        return x
+    return _make(_canon(x)) if isinstance(x, (int, Fraction)) else None
 
 
 def _make(re: int | Fraction, im: int | Fraction = 0) -> FieldElem:
@@ -291,6 +287,8 @@ def format_weight(w: Weight) -> str:
 
 
 def _check_length(t: ExtDynkinType, w: Weight) -> None:
+    if w.__class__ is not Weight:
+        raise DomainError(f"weight must be a Weight, not {w!r}")
     if len(w) != t.n + 1:
         raise DomainError(f"weight has {len(w)} entries but {t} has {t.n + 1} vertices")
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import random
 
@@ -6,10 +7,14 @@ import pytest
 
 from oracles import (brute_canonical_map, det_int, graph_automorphisms, is_involution,
                      preserves)
+import preproj
+from preproj import dynkin
 from preproj.dynkin import (MAX_RANK, DynkinType, ExtDynkinType, build_dynkin, build_extended,
                             cartan, classify_components, dynkin_adjacency, nakayama,
                             parse_type)
 from preproj.errors import DomainError, InternalInconsistency
+from preproj.pathalg import PathElement, trivial_path
+from preproj.weights import Weight
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
@@ -313,3 +318,38 @@ def test_arrows_out_of_sinks_are_the_reverse_arrows():
             assert a.reverse == (a.tail in sinks), (t, a)
         for v in q.vertices:
             assert len(q.arrows_from(v)) == len(q.neighbours(v)), (t, v)
+
+
+def test_type_taking_functions_reject_the_other_kind_of_type():
+    # every public function whose first argument is a type rejects the other
+    # kind of the same family and rank, and caches nothing under it
+    def weight(t):
+        return Weight.of([1] * (t.n + 1))
+
+    e0 = [[PathElement.of_path(trivial_path(0))]]
+    extended = {
+        "build_extended": lambda t: (t,), "cartan": lambda t: (t,),
+        "ext_dims": lambda t: (t, 1, 1), "intersection_matrix": lambda t: (t,),
+        "smooth_resolution": lambda t: (t,), "resolve_to_smooth": lambda t: (t,),
+        "knit": lambda t: (t, {0}, 2), "ideal_member": lambda t: (t, weight(t), e0[0][0]),
+        "verify_zero_product": lambda t: (t, weight(t), e0, e0),
+        "q_lambda_decompose": lambda t: (t, weight(t)),
+        "classify_weight": lambda t: (t, weight(t)),
+        "dual_reflection": lambda t: (t, weight(t), 1),
+        "quasi_dominantize": lambda t: (t, Weight.of([0] + [-1] * t.n)),
+    }
+    dynkin_only = {"nakayama", "graded_dims_pi", "hom_matrix"}
+    takes_a_type = {name for name in preproj.__all__
+                    if inspect.isfunction(f := getattr(preproj, name))
+                    and next(iter(inspect.signature(f).parameters)) == "t"}
+    assert takes_a_type == set(extended) | dynkin_only
+    for family, n in (("D", 4), ("D", 5), ("E", 6)):
+        for name, args in extended.items():
+            with pytest.raises(DomainError, match=f"an extended type like ~{family}{n} is required"):
+                getattr(preproj, name)(*args(DynkinType(family, n)))
+        for name in dynkin_only:
+            with pytest.raises(DomainError,
+                               match=rf"a Dynkin type like {family}{n} \(no ~ prefix\) is required"):
+                getattr(preproj, name)(ExtDynkinType(family, n))
+    assert all(type(t) is ExtDynkinType for t in dynkin._EXTENDED)
+    assert all(type(t) is DynkinType for t in dynkin._DYNKIN)

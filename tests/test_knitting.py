@@ -68,6 +68,11 @@ def test_input_validation():
         knit(ExtDynkinType("D", 5), {0, 5}, 5)  # target inside S
     with pytest.raises(DomainError):
         knit(ExtDynkinType("D", 5), {0}, 9)  # no such vertex
+    # a vertex is an int: not a float or text that int() would read, nor a bool
+    for s_vertices, target in (([0, 3.7], 4), ([0, "3"], 4), ({0, 3}, True), ([0, True], 4),
+                               ([0, 3], 4.0)):
+        with pytest.raises(DomainError, match="vertices must be ints"):
+            knit(ExtDynkinType("D", 5), s_vertices, target)
 
 
 @pytest.mark.parametrize("fixture", worked_example_fixtures() + golden_knit_fixtures(),

@@ -591,6 +591,50 @@ def test_model_for_rejects_a_weight_that_is_not_a_weight(entries):
     assert cert is None or check_certificate(t, cert)
 
 
+def test_membership_rejects_another_quivers_arrows():
+    d4, w = ExtDynkinType("D", 4), Weight.of([0] * 5)
+    d5 = build_extended(ExtDynkinType("D", 5))
+    # ~D4 has no a5; ~A4's a3 runs 3->4 where ~A3's runs 3->0, so the same
+    # id leaves vertex 3 of ~A3 with other endpoints
+    foreign = [(d4, w, PathElement.of_path(parse_path(d5, "a5.~a5")), "no arrow named 'a5'"),
+               (ExtDynkinType("A", 3), Weight.of([0] * 4),
+                PathElement.of_path(parse_path(build_extended(ExtDynkinType("A", 4)), "a3")),
+                "a3: 3->4 is not an arrow of ~A3"),
+               (d4, w, PathElement.of_path(trivial_path(9)), "vertex 9 is not in ~D4")]
+    for t, u, x, message in foreign:
+        with pytest.raises(DomainError, match=message):
+            ideal_member(t, u, x)
+        with pytest.raises(DomainError, match=message):
+            verify_zero_product(t, u, [[x]], [[PathElement.of_path(trivial_path(x.target))]])
+    # an arrow equal to one of ~D4's own is read as that arrow
+    own = ideal_member(d4, w, elem(d4, "1 * a0.~a0 : 0->0"))
+    assert own.terms and ideal_member(d4, w, PathElement.of_path(parse_path(d5, "a0.~a0"))) == own
+
+
+def test_check_certificate_rejects_a_term_whose_paths_miss_its_vertex():
+    fixture = next(f for f in MAP_FIXTURES if f.fixture_id == "D4-A3")
+    t = fixture.type
+    cert = next(c for c in verify_zero_product(t, fixture.zero_weight(), *fixture.matrices())
+                .certificates if c.terms)
+    assert check_certificate(t, cert)
+    c, u, v, w = cert.terms[0]
+    other = next(k for k in build_extended(t).vertices if k != v)
+    # an appended term at another vertex expands to 0, so only the vertex check sees it
+    for terms in (cert.terms + ((ONE, u, other, w),), ((c, u, other, w),) + cert.terms[1:],
+                  cert.terms + ((ONE, trivial_path(9), 9, trivial_path(9)),)):
+        assert not check_certificate(t, cert._replace(terms=terms))
+
+
+def test_element_sums_take_only_elements():
+    x = PathElement.of_path(trivial_path(0))
+    for bad in (1, ONE, "1", None, trivial_path(0)):
+        for op in (lambda: x + bad, lambda: bad + x, lambda: x - bad, lambda: bad - x,
+                   lambda: PathElement() + bad):
+            with pytest.raises(TypeError):
+                op()
+    assert x - x == PathElement() and x + x == x.scale(2)
+
+
 def test_model_for_dynkin_is_one_model_per_type():
     d4 = pathalg.model_for_dynkin(DynkinType("D", 4))
     assert pathalg.model_for_dynkin(DynkinType("D", 4)) is d4

@@ -1,6 +1,7 @@
 import copy
 import functools
 import hashlib
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -313,6 +314,21 @@ def test_weight_parse_errors():
     assert format_weight(parse_weight("1,-1/2,0,1/2+1/3i")) == "1,-1/2,0,1/2+1/3i"
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, w: classify_weight(t, w), lambda t, w: quasi_dominantize(t, w),
+    lambda t, w: numbers_game(t, w), lambda t, w: dual_reflection(t, w, 1),
+    lambda t, w: is_quasi_dominant(t, w), lambda t, w: presentation(t.n, w)],
+    ids=["classify_weight", "quasi_dominantize", "numbers_game", "dual_reflection",
+         "is_quasi_dominant", "presentation"])
+def test_a_weight_that_is_not_a_weight_is_rejected(call):
+    # the one length rule is also the one rule for what a weight is
+    t = ExtDynkinType("A", 4)
+    for entries in ([1] * 5, (ONE,) * 5, "1,1,1,1,1"):
+        with pytest.raises(DomainError, match="weight must be a Weight"):
+            call(t, entries)
+    call(t, Weight.of([1] * 5))
+
+
 def test_field_elem_arithmetic_matches_pair_formula():
     rng = random.Random(5)
     for _ in range(300):
@@ -481,6 +497,33 @@ def test_order_takes_the_numbers_equality_takes_and_nothing_else():
                     op(a, other)
                 with pytest.raises(TypeError):
                     op(other, a)
+    assert not ONE == "1" and ONE != "1"
+
+
+def test_every_operator_takes_field_elems_ints_and_fractions_and_nothing_else():
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "==": operator.eq, "<": operator.lt}
+    elems = (ONE, MINUS_ONE, ZERO, FieldElem(Fraction(-3, 2), 2), FieldElem(0, Fraction(1, 3)))
+    for a in elems:
+        for b in (2, -1, 0, True, False, Fraction(1, 2), Fraction(-4, 2)):
+            for name, op in ops.items():
+                for x, y in ((a, b), (b, a)):
+                    if name == "/" and not y:
+                        continue
+                    got, want = op(x, y), op(FieldElem.of(x), FieldElem.of(y))
+                    assert got == want and type(got) is type(want), (x, name, y)
+                    if isinstance(got, FieldElem):
+                        assert_canonical(got)
+        # text enters through FieldElem.of; an operator takes no text, float or None
+        for bad in ("1", "2i", str(a), 0.5, 2.0, float(a.re), None):
+            for name, op in ops.items():
+                if name == "==":
+                    assert not op(a, bad) and not op(bad, a)
+                    continue
+                with pytest.raises(TypeError):
+                    op(a, bad)
+                with pytest.raises(TypeError):
+                    op(bad, a)
     assert not ONE == "1" and ONE != "1"
 
 
