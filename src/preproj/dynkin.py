@@ -203,26 +203,34 @@ def _ordinary_arrows(t: ExtDynkinType) -> list[tuple[int, int, int]]:
 
 
 class LabelledDoubleQuiver(Frozen):
-    """The double of a quiver: each ordinary arrow a<k> has a reverse ~a<k>.
+    """The double of a quiver: each ordinary arrow a<k> has a reverse ~a<k>,
+    whose id is one more.
 
-    The constructor builds the name, out-arrow and neighbour tables;
+    The constructor builds the name, id, out-arrow and neighbour tables and
+    ``rho``, each rho_v's quadratic part as (sign, first id, second id);
     equality and the hash are on (vertices, arrows, type)."""
 
-    __slots__ = ("vertices", "arrows", "type", "ordinary_arrows", "_by_name", "_out",
-                 "_neighbours")
+    __slots__ = ("vertices", "arrows", "type", "ordinary_arrows", "rho", "by_id", "_by_name",
+                 "_out", "_neighbours")
     _args = __slots__[:3]
 
     def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...],
                  type: ExtDynkinType | None = None):
         by_name: dict[str, Arrow] = {}
         out: dict[int, list[Arrow]] = {v: [] for v in vertices}
+        rho: dict[int, list[tuple[int, int, int]]] = {v: [] for v in vertices}
         for a in arrows:
             if a.name in by_name:
                 raise InternalInconsistency("duplicate arrow labels")
             by_name[a.name] = a
             out.setdefault(a.tail, []).append(a)
+            if not a.reverse:
+                rho[a.tail].append((1, a.id, a.id + 1))
+                rho[a.head].append((-1, a.id + 1, a.id))
         self._set(vertices=vertices, arrows=arrows, type=type,
-                  ordinary_arrows=tuple(a for a in arrows if not a.reverse), _by_name=by_name,
+                  ordinary_arrows=tuple(a for a in arrows if not a.reverse),
+                  rho={v: tuple(r) for v, r in rho.items()},
+                  by_id={a.id: a for a in arrows}, _by_name=by_name,
                   _out={v: tuple(vs) for v, vs in out.items()},
                   _neighbours={v: tuple(sorted({a.head for a in vs})) for v, vs in out.items()})
 
@@ -267,7 +275,10 @@ _EXTENDED: dict[ExtDynkinType, LabelledDoubleQuiver] = {}
 
 def build_extended(t: ExtDynkinType) -> LabelledDoubleQuiver:
     """The double of the extended Dynkin quiver with its canonical labels."""
-    q = _EXTENDED.get(t)
+    try:
+        q = _EXTENDED.get(t)
+    except TypeError:   # unhashable, so not a type: _require_extended says so
+        q = None
     if q is None:
         _require_extended(t)
         arrows: list[Arrow] = []
@@ -285,7 +296,10 @@ _DYNKIN: dict[DynkinType, LabelledDoubleQuiver] = {}
 
 def build_dynkin(t: DynkinType) -> LabelledDoubleQuiver:
     """The double of the Dynkin quiver: the extended quiver minus vertex 0."""
-    q = _DYNKIN.get(t)
+    try:
+        q = _DYNKIN.get(t)
+    except TypeError:   # unhashable, so not a type: _require_dynkin says so
+        q = None
     if q is None:
         _require_dynkin(t)
         ext_n = max(t.n, 2) if t.family == "A" else t.n
@@ -296,7 +310,7 @@ def build_dynkin(t: DynkinType) -> LabelledDoubleQuiver:
 
 def delta_vector(t: ExtDynkinType) -> tuple[int, ...]:
     """Dimension vector of the McKay irreducibles, indexed by vertex."""
-    n = t.n
+    n = _require_extended(t).n
     if t.family == "A":
         return tuple([1] * (n + 1))
     if t.family == "D":
@@ -325,7 +339,10 @@ _CARTAN: dict[ExtDynkinType, CartanData] = {}
 
 
 def cartan(t: ExtDynkinType) -> CartanData:
-    data = _CARTAN.get(t)
+    try:
+        data = _CARTAN.get(t)
+    except TypeError:   # unhashable: build_extended rejects it
+        data = None
     if data is None:
         data = _CARTAN[t] = _build_cartan(t)
     return data

@@ -72,12 +72,15 @@ def knit(t: ExtDynkinType, s_vertices, target: int) -> KnitResult:
     the run stops when a -1 appears.  A value never changes once written
     and the seeded cells are 0 or 1, so each is checked as it is written.
     """
+    q = build_extended(t)
     if t.family not in ("D", "E"):
         raise DomainError(f"knitting supports types ~D and ~E, not {t}")
-    q = build_extended(t)
     sinks = q.sink_class()
     columns = (frozenset(q.vertices) - sinks, sinks)   # indexed by col % 2
-    vertices = (*s_vertices, target)
+    try:
+        vertices = (*s_vertices, target)
+    except TypeError:   # S is not a collection
+        raise DomainError(f"S must be a set of vertices, not {s_vertices!r}") from None
     if any(v.__class__ is not int for v in vertices):
         raise DomainError(f"vertices must be ints, not S = {vertices[:-1]!r}, target {target!r}")
     s = frozenset(vertices[:-1])

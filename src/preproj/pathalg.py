@@ -243,17 +243,14 @@ def format_element(x: PathElement) -> str:
 
 
 def relation_set(q: LabelledDoubleQuiver, weight: dict[int, FieldElem]) -> dict[int, PathElement]:
-    """rho_v = sum_{t(a)=v} a.~a - sum_{h(a)=v} ~a.a - lambda_v e_v."""
-    terms: dict[int, dict[Path, FieldElem]] = {v: {} for v in q.vertices}
-    for a in q.ordinary_arrows:
-        rev = q.arrow("~" + a.name)
-        terms[a.tail][Path(a.tail, (a, rev))] = ONE
-        terms[a.head][Path(a.head, (rev, a))] = -ONE
+    """rho_v = sum_{t(a)=v} a.~a - sum_{h(a)=v} ~a.a - lambda_v e_v: the
+    quadratic part is the quiver's ``rho`` table."""
+    rels = {}
     for v in q.vertices:
-        lam = weight.get(v, ZERO)
-        if lam:
-            terms[v][trivial_path(v)] = -lam
-    return {v: PathElement(terms[v]) for v in q.vertices}
+        terms = {Path(v, (q.by_id[f], q.by_id[s])): sign for sign, f, s in q.rho[v]}
+        terms[trivial_path(v)] = -weight.get(v, ZERO)
+        rels[v] = PathElement(terms)
+    return rels
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +281,11 @@ class QuotientModel:
     each new layer."""
 
     def __init__(self, quiver: LabelledDoubleQuiver, source: int,
-                 rels: dict[int, PathElement], graded: "QuotientModel | None"):
+                 lam: dict[int, FieldElem], graded: "QuotientModel | None"):
         self.quiver = quiver
         self.source = source
-        # rho_w for every vertex w, shared by the summands of one algebra
-        self.rels = rels
+        # the nonzero lambda_w by vertex, shared by the summands of one algebra
+        self.lam = lam
         # (basis id, arrow id) -> normal form of basis element times arrow
         self.mul: dict[tuple[int, int], dict[int, FieldElem]] = {}
         # the nonzero parts of mul below the top degree (none at weight 0)
@@ -335,10 +332,9 @@ class QuotientModel:
         sym_rows: list[dict[int, FieldElem]] = []
         for cid in self.layers[d - 2] if d >= 2 else ():
             sym: dict[int, FieldElem] = {}
-            for path, sign in self.rels[self.basis[cid].target].terms.items():
-                first, second = path.arrows
-                for bid, coef in self.mul[(cid, first.id)].items():
-                    k = sym_index[(bid, second.id)]
+            for sign, first, second in self.quiver.rho[self.basis[cid].target]:
+                for bid, coef in self.mul[(cid, first)].items():
+                    k = sym_index[(bid, second)]
                     sym[k] = sym.get(k, ZERO) + coef * sign
             sym_rows.append({k: x for k, x in sym.items() if x})
         rows, nulls = eliminate(sym_rows)
@@ -368,22 +364,21 @@ class QuotientModel:
         graded = self.graded
         graded.extend_to(d)
         step = self.steps[d]
-        mul, low = self.mul, self.low
+        mul, low, rho, lam = self.mul, self.low, self.quiver.rho, self.lam
         tails: list[dict[int, FieldElem]] = []
         for cid in self.layers[d - 2] if d >= 2 else ():
             tail: dict[int, FieldElem] = {}
-            for path, sign in self.rels[self.basis[cid].target].terms.items():
-                if not path.arrows:
-                    tail[cid] = tail.get(cid, ZERO) + sign
-                    continue
-                first, second = path.arrows
-                below = low.get((cid, first.id))
+            v = self.basis[cid].target
+            for sign, first, second in rho[v]:
+                below = low.get((cid, first))
                 if below is None:
                     continue
                 for bid, coef in below.items():
                     coef = coef * sign
-                    for b2, c2 in mul[(bid, second.id)].items():
+                    for b2, c2 in mul[(bid, second)].items():
                         tail[b2] = tail.get(b2, ZERO) + coef * c2
+            if v in lam:
+                tail[cid] = tail.get(cid, ZERO) - lam[v]
             tails.append({k: x for k, x in tail.items() if x})
         reduced = _reduced_tails(tails, step.prov, step.nulls)
         self.layers.append(graded.layers[d])
@@ -404,14 +399,14 @@ class QuotientModel:
         self.extend_to(len(p))
         vec = {0: ONE}
         for a in p.arrows:
-            vec = self._then(vec, a)
+            vec = self._then(vec, a.id)
         return vec
 
-    def _then(self, vec: dict[int, FieldElem], a: Arrow) -> dict[int, FieldElem]:
-        """The normal form of vec times the arrow a."""
+    def _then(self, vec: dict[int, FieldElem], aid: int) -> dict[int, FieldElem]:
+        """The normal form of vec times the arrow with id aid."""
         out: dict[int, FieldElem] = {}
         for bid, coef in vec.items():
-            for b2, c2 in self.mul[(bid, a.id)].items():
+            for b2, c2 in self.mul[(bid, aid)].items():
                 out[b2] = out.get(b2, ZERO) + coef * c2
         return {k: x for k, x in out.items() if x}
 
@@ -450,40 +445,40 @@ class QuotientModel:
             return []
         if not self.is_zero(x):
             return None
-        basis, steps, layers, low, rels = self.basis, self.steps, self.layers, self.low, self.rels
-        # per layer d: (basis id, arrow, suffix) -> coefficient of E(b, a) r
-        pending: list[dict[tuple[int, Arrow, tuple[Arrow, ...]], FieldElem]] = [
+        basis, steps, layers, low = self.basis, self.steps, self.layers, self.low
+        rho, by_id = self.quiver.rho, self.quiver.by_id
+        # per layer d: (basis id, arrow id, suffix ids) -> coefficient of E(b, a) r
+        pending: list[dict[tuple[int, int, tuple[int, ...]], FieldElem]] = [
             {} for _ in range(x.degree + 1)]
         for p, coef in x.terms.items():
             vec = {0: ONE}
-            for i, a in enumerate(p.arrows):
-                r = p.arrows[i + 1:]
+            ids = tuple(a.id for a in p.arrows)
+            for i, a in enumerate(ids):
                 for bid, c in vec.items():
-                    slot, key = pending[len(basis[bid]) + 1], (bid, a, r)
+                    slot, key = pending[len(basis[bid]) + 1], (bid, a, ids[i + 1:])
                     slot[key] = slot.get(key, ZERO) + coef * c
                 vec = self._then(vec, a)
-        cert: dict[tuple[int, tuple[Arrow, ...]], FieldElem] = {}
+        # (basis id, suffix ids) -> coefficient of c rho_v r
+        cert: dict[tuple[int, tuple[int, ...]], FieldElem] = {}
         for d in range(x.degree, 1, -1):
             step, raw, lower = steps[d], layers[d - 2], pending[d - 1]
             for (bid, a, r), coef in pending[d].items():
-                prov = step.prov.get((bid, a.id))
+                prov = step.prov.get((bid, a))
                 if prov is None or not coef:
                     continue
                 for j, pj in prov.items():
                     cid = raw[j]
                     k = coef * pj
                     cert[(cid, r)] = cert.get((cid, r), ZERO) + k
-                    for path, sign in rels[basis[cid].target].terms.items():
-                        if not path.arrows:
-                            continue
-                        first, second = path.arrows
+                    for sign, first, second in rho[basis[cid].target]:
                         m = -(k * sign)
                         key = (cid, first, (second,) + r)
                         lower[key] = lower.get(key, ZERO) + m
-                        for b2, c2 in low.get((cid, first.id), {}).items():
+                        for b2, c2 in low.get((cid, first), {}).items():
                             slot, key = pending[len(basis[b2]) + 1], (b2, second, r)
                             slot[key] = slot.get(key, ZERO) + m * c2
-        out = [(c, basis[cid], basis[cid].target, Path(basis[cid].target, r))
+        out = [(c, basis[cid], basis[cid].target,
+                Path(basis[cid].target, tuple(by_id[a] for a in r)))
                for (cid, r), c in cert.items() if c]
         out.sort(key=lambda t: (len(t[1]), len(t[3]), t[1].name(), t[3].name(), t[2]))
         return out
@@ -581,10 +576,10 @@ _MODELS: dict[tuple, dict[int, QuotientModel]] = {}
 
 def _summands(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
               graded: dict[int, QuotientModel] | None) -> dict[int, QuotientModel]:
-    """One summand per vertex, all on one relation set; graded holds the
-    weight-0 summands whose elimination a deformation shares."""
-    rels = relation_set(q, weight)
-    return {v: QuotientModel(q, v, rels, None if graded is None else graded[v])
+    """One summand per vertex, sharing the nonzero lambda_v; graded holds
+    the weight-0 summands whose elimination a deformation shares."""
+    lam = {v: x for v, x in weight.items() if x}
+    return {v: QuotientModel(q, v, lam, None if graded is None else graded[v])
             for v in q.vertices}
 
 
@@ -601,10 +596,13 @@ def model_for(t: ExtDynkinType, w: Weight) -> dict[int, QuotientModel]:
 
 
 def model_for_dynkin(t: DynkinType) -> dict[int, QuotientModel]:
-    key = (t,)
-    if key not in _MODELS:
-        _MODELS[key] = _summands(build_dynkin(t), {}, None)
-    return _MODELS[key]
+    try:
+        models = _MODELS.get((t,))
+    except TypeError:   # unhashable: build_dynkin rejects it
+        models = None
+    if models is None:
+        models = _MODELS[(t,)] = _summands(build_dynkin(t), {}, None)
+    return models
 
 
 def graded_dims_pi(t: DynkinType) -> tuple[tuple[int, ...], int]:
@@ -637,6 +635,11 @@ def hom_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
+def _require_element(x) -> None:
+    if x.__class__ is not PathElement:
+        raise DomainError(f"a PathElement is required here, not {x!r}")
+
+
 class MembershipCertificate(NamedTuple):
     """x = sum_k coef_k * (left_k rho_{v_k} right_k) in the free algebra."""
 
@@ -649,6 +652,7 @@ def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement) -> MembershipCerti
     """A certificate that x lies in the Pi^lambda relation ideal, or None
     when it does not; the layered engine is complete, so no cap is needed.
     Each arrow of x must be one of t's own, or equal to one."""
+    _require_element(x)
     models = model_for(t, w)
     if x and x.source not in models:
         raise DomainError(f"vertex {x.source} is not in {t}")
@@ -695,6 +699,9 @@ def verify_zero_product(t: ExtDynkinType, w: Weight,
         raise DomainError("matrix shapes are not composable")
     if degree_cap is not None and (degree_cap.__class__ is not int or degree_cap < 0):
         raise DomainError(f"degree cap must be None or an int >= 0, got {degree_cap!r}")
+    for row in (*psi, *phi):
+        for x in row:
+            _require_element(x)
     certs = []
     for i in range(len(psi)):
         for j in range(len(phi[0])):

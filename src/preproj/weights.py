@@ -18,7 +18,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynkin import _DIGITS, ExtDynkinType, Frozen, build_extended, cartan, delta_vector
+from .dynkin import (_DIGITS, ExtDynkinType, Frozen, _require_extended, build_extended, cartan,
+                     delta_vector)
 from .errors import DomainError, InternalInconsistency
 
 
@@ -95,6 +96,8 @@ class FieldElem(Frozen):
     def __mul__(self, other) -> "FieldElem":
         if other.__class__ is not FieldElem:
             if isinstance(other, int):
+                if other == 1:
+                    return self
                 if other == -1:
                     return _negative(self.re, self.im)
                 return _make(_canon(self.re * other), _canon(self.im * other))
@@ -287,6 +290,7 @@ def format_weight(w: Weight) -> str:
 
 
 def _check_length(t: ExtDynkinType, w: Weight) -> None:
+    _require_extended(t)
     if w.__class__ is not Weight:
         raise DomainError(f"weight must be a Weight, not {w!r}")
     if len(w) != t.n + 1:
@@ -294,14 +298,13 @@ def _check_length(t: ExtDynkinType, w: Weight) -> None:
 
 
 def epsilon0(t: ExtDynkinType) -> Weight:
-    return Weight.of([1] + [0] * t.n)
+    return Weight.of([1] + [0] * _require_extended(t).n)
 
 
 def dot_delta(t: ExtDynkinType, w: Weight) -> FieldElem:
     _check_length(t, w)
-    d = delta_vector(t)
     total = ZERO
-    for x, di in zip(w.entries, d):
+    for x, di in zip(w.entries, cartan(t).delta):
         total = total + x * di
     return total
 
@@ -347,14 +350,9 @@ class WeightClass(NamedTuple):
 
 
 def classify_weight(t: ExtDynkinType, w: Weight) -> WeightClass:
-    _check_length(t, w)
     qd = is_quasi_dominant(t, w)
     dom = qd and w[0]._key() >= (0, 0)
-    # D > 0, so w . delta = 0 exactly when the int dot of D*w with delta is (0, 0)
-    _, keys = _lattice(w)
-    delta = cartan(t).delta
-    commutative = (sum(a * di for (a, _), di in zip(keys, delta)),
-                   sum(b * di for (_, b), di in zip(keys, delta))) == (0, 0)
+    commutative = not dot_delta(t, w)
     singular = smooth = None
     if qd:
         singular = any(not w[i] for i in range(1, t.n + 1))

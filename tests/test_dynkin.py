@@ -6,14 +6,14 @@ import random
 import pytest
 
 from oracles import (brute_canonical_map, det_int, graph_automorphisms, is_involution,
-                     preserves)
+                     preserves, quiver_relations)
 import preproj
-from preproj import dynkin
+from preproj import dynkin, weights
 from preproj.dynkin import (MAX_RANK, DynkinType, ExtDynkinType, build_dynkin, build_extended,
                             cartan, classify_components, dynkin_adjacency, nakayama,
                             parse_type)
 from preproj.errors import DomainError, InternalInconsistency
-from preproj.pathalg import PathElement, trivial_path
+from preproj.pathalg import PathElement, relation_set, trivial_path
 from preproj.weights import Weight
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
@@ -257,6 +257,14 @@ def test_dynkin_quiver_is_shared_and_unchanged():
             v: tuple(w for w in (v - 1, v + 1) if 1 <= w <= n) for v in range(1, n + 1)}
 
 
+def test_dynkin_relation_set_matches_oracle():
+    # a full subquiver builds its rho table from the arrows it keeps, so
+    # rho_1 of a Dynkin quiver has no terms through vertex 0
+    for t in ALL_DYNKIN:
+        q = build_dynkin(t)
+        assert relation_set(q, {}) == quiver_relations(q, {}), t
+
+
 def test_arrow_names_are_canonical_and_resolve():
     for t in ALL_EXTENDED:
         q = build_extended(t)
@@ -279,6 +287,7 @@ def test_quiver_tables_equal_scans_of_the_arrows():
             assert q.neighbours(v) == nbrs[v]
         assert list(q.adjacency().items()) == list(nbrs.items())
         assert q.ordinary_arrows == tuple(a for a in q.arrows if not a.reverse)
+        assert q.by_id == {a.id: a for a in q.arrows}
         for v in (-1, max(q.vertices) + 1):
             assert q.arrows_from(v) == () and q.neighbours(v) == ()
 
@@ -339,6 +348,8 @@ def test_type_taking_functions_reject_the_other_kind_of_type():
         "quasi_dominantize": lambda t: (t, Weight.of([0] + [-1] * t.n)),
     }
     dynkin_only = {"nakayama", "graded_dims_pi", "hom_matrix"}
+    weight_helpers = (lambda t: weights.is_quasi_dominant(t, weight(t)), weights.epsilon0,
+                      lambda t: weights.dot_delta(t, weight(t)), dynkin.delta_vector)
     takes_a_type = {name for name in preproj.__all__
                     if inspect.isfunction(f := getattr(preproj, name))
                     and next(iter(inspect.signature(f).parameters)) == "t"}
@@ -351,5 +362,22 @@ def test_type_taking_functions_reject_the_other_kind_of_type():
             with pytest.raises(DomainError,
                                match=rf"a Dynkin type like {family}{n} \(no ~ prefix\) is required"):
                 getattr(preproj, name)(ExtDynkinType(family, n))
+        # weight helpers outside __all__ that take an extended type
+        for call in weight_helpers:
+            with pytest.raises(DomainError, match=f"an extended type like ~{family}{n} is required"):
+                call(DynkinType(family, n))
     assert all(type(t) is ExtDynkinType for t in dynkin._EXTENDED)
     assert all(type(t) is DynkinType for t in dynkin._DYNKIN)
+
+
+def test_type_taking_functions_reject_an_unhashable_type():
+    # an unhashable argument misses every cache and is then rejected as the
+    # wrong kind of type, not by the cache lookup
+    for bad in (["D", 4], {"D": 4}):
+        for f in (build_extended, cartan, lambda t: preproj.knit(t, {0}, 2)):
+            with pytest.raises(DomainError, match="an extended type like ~.* is required"):
+                f(bad)
+        for f in (build_dynkin, preproj.graded_dims_pi, preproj.hom_matrix):
+            with pytest.raises(DomainError,
+                               match=r"a Dynkin type like .* \(no ~ prefix\) is required"):
+                f(bad)

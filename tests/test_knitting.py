@@ -73,6 +73,10 @@ def test_input_validation():
                                ([0, 3], 4.0)):
         with pytest.raises(DomainError, match="vertices must be ints"):
             knit(ExtDynkinType("D", 5), s_vertices, target)
+    # S is a collection of vertices, not one vertex
+    for s_vertices in (0, None):
+        with pytest.raises(DomainError, match="S must be a set of vertices"):
+            knit(ExtDynkinType("D", 5), s_vertices, 4)
 
 
 @pytest.mark.parametrize("fixture", worked_example_fixtures() + golden_knit_fixtures(),

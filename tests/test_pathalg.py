@@ -513,9 +513,11 @@ def test_relation_set_matches_oracle(t):
         assert relation_set(q, {v: w[v] for v in q.vertices}) == expected
         models = model_for(t, w)
         assert sorted(models) == list(q.vertices)
+        lam = {v: x for v, x in enumerate(w.entries) if x}
         for v, m in models.items():
-            # every summand reads the one relation set of its algebra
-            assert m.source == v and m.rels is models[0].rels and m.rels == expected
+            # every summand reads rho_w off the quiver's table and lambda_w
+            # off the algebra's one table of nonzero entries
+            assert m.source == v and m.quiver is q and m.lam is models[0].lam and m.lam == lam
 
 
 def test_filtered_dims_match_graded_dims():
@@ -609,6 +611,18 @@ def test_membership_rejects_another_quivers_arrows():
     # an arrow equal to one of ~D4's own is read as that arrow
     own = ideal_member(d4, w, elem(d4, "1 * a0.~a0 : 0->0"))
     assert own.terms and ideal_member(d4, w, PathElement.of_path(parse_path(d5, "a0.~a0"))) == own
+
+
+def test_membership_takes_only_elements():
+    # a Path is not a PathElement, though PathElement.of_path makes one of it
+    t, w = ExtDynkinType("D", 4), Weight.of([0] * 5)
+    e0 = PathElement.of_path(trivial_path(0))
+    for x in (trivial_path(0), parse_path(build_extended(t), "a0.~a0"), ONE, 0):
+        with pytest.raises(DomainError, match="a PathElement is required here"):
+            ideal_member(t, w, x)
+        for psi, phi in (([[x]], [[e0]]), ([[e0]], [[x]]), ([[e0, e0]], [[e0], [x]])):
+            with pytest.raises(DomainError, match="a PathElement is required here"):
+                verify_zero_product(t, w, psi, phi)
 
 
 def test_check_certificate_rejects_a_term_whose_paths_miss_its_vertex():
