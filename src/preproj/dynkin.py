@@ -30,6 +30,8 @@ MAX_RANK = 100
 
 
 def _check_rank(family: str, n: int, extended: bool) -> None:
+    if n.__class__ is not int:
+        raise DomainError(f"a rank must be an int, got {n!r}")
     if family == "A":
         low = 2 if extended else 1
         if n < low:
@@ -206,12 +208,14 @@ class LabelledDoubleQuiver(Frozen):
     """The double of a quiver: each ordinary arrow a<k> has a reverse ~a<k>,
     whose id is one more.
 
-    The constructor builds the name, id, out-arrow and neighbour tables and
-    ``rho``, each rho_v's quadratic part as (sign, first id, second id);
-    equality and the hash are on (vertices, arrows, type)."""
+    The constructor builds the name, id, out-arrow and neighbour tables,
+    ``rho``, each rho_v's quadratic part as (sign, first id, second id),
+    ``name_rank``, each arrow id's rank in the string order of the names as
+    the character of that code point, and the sink class; equality and the
+    hash are on (vertices, arrows, type)."""
 
-    __slots__ = ("vertices", "arrows", "type", "ordinary_arrows", "rho", "by_id", "_by_name",
-                 "_out", "_neighbours")
+    __slots__ = ("vertices", "arrows", "type", "ordinary_arrows", "rho", "by_id", "name_rank",
+                 "_by_name", "_out", "_neighbours", "_sinks")
     _args = __slots__[:3]
 
     def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...],
@@ -227,12 +231,20 @@ class LabelledDoubleQuiver(Frozen):
             if not a.reverse:
                 rho[a.tail].append((1, a.id, a.id + 1))
                 rho[a.head].append((-1, a.id + 1, a.id))
+        # the sink class: None unless every ordinary arrow runs from a
+        # vertex with an ordinary out-arrow to one with none
+        sinks = frozenset(v for v in vertices if all(a.reverse for a in out[v]))
+        if any(a.tail in sinks or a.head not in sinks for a in arrows if not a.reverse):
+            sinks = None
+        by_rank = sorted(arrows, key=attrgetter("name"))
         self._set(vertices=vertices, arrows=arrows, type=type,
                   ordinary_arrows=tuple(a for a in arrows if not a.reverse),
                   rho={v: tuple(r) for v, r in rho.items()},
-                  by_id={a.id: a for a in arrows}, _by_name=by_name,
-                  _out={v: tuple(vs) for v, vs in out.items()},
-                  _neighbours={v: tuple(sorted({a.head for a in vs})) for v, vs in out.items()})
+                  by_id={a.id: a for a in arrows},
+                  name_rank={a.id: chr(k) for k, a in enumerate(by_rank)},
+                  _by_name=by_name, _out={v: tuple(vs) for v, vs in out.items()},
+                  _neighbours={v: tuple(sorted({a.head for a in vs})) for v, vs in out.items()},
+                  _sinks=sinks)
 
     def arrow(self, name: str) -> Arrow:
         a = self._by_name.get(name)
@@ -256,12 +268,9 @@ class LabelledDoubleQuiver(Frozen):
         bipartite; paths in the double then alternate ordinary and
         reverse arrows.
         """
-        sinks = {v for v in self.vertices if all(a.reverse for a in self.arrows_from(v))}
-        sources = set(self.vertices) - sinks
-        for a in self.ordinary_arrows:
-            if a.tail in sinks or a.head in sources:
-                raise DomainError("orientation is not bipartite (type ~A has no sink class)")
-        return frozenset(sinks)
+        if self._sinks is None:
+            raise DomainError("orientation is not bipartite (type ~A has no sink class)")
+        return self._sinks
 
     def full_subquiver(self, keep: set[int]) -> "LabelledDoubleQuiver":
         keep = set(keep)

@@ -181,29 +181,33 @@ def _pattern_walk(r: KnitResult, q: LabelledDoubleQuiver, start: tuple[int, int]
     """psi for the circled cell start: the first rightward pattern walk,
     depth first, from start to the box end through nonzero uncircled cells,
     read backwards on the quiver's own arrows."""
-
-    def go(cell: tuple[int, int], steps: list[Arrow]) -> Path | None:
-        col, v = cell
-        if cell == end:
-            return Path(end[1], tuple(reversed(steps)))
-        if col <= end[0]:
-            return None
-        for u in q.neighbours(v):
-            nxt = (col - 1, u)
-            if nxt != end and (r.values.get(nxt, 0) == 0 or u in r.s_vertices):
-                continue
-            if nxt[0] < end[0] or (nxt[0] == end[0] and u != end[1]):
-                continue
-            back = next(a for a in q.arrows_from(u) if a.head == v)
-            walk = go(nxt, steps + [back])
-            if walk is not None:
-                return walk
-        return None
-
-    walk = go(start, [])
+    walk = _walk(r, q, start, end, [])
     if walk is None:
         raise DomainError(f"no pattern path from {start} to the box")
     return walk
+
+
+def _walk(r: KnitResult, q: LabelledDoubleQuiver, cell: tuple[int, int], end: tuple[int, int],
+          steps: list[Arrow]) -> Path | None:
+    """The first walk from cell to end after steps, or None.  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep r alive until the cyclic collector runs."""
+    col, v = cell
+    if cell == end:
+        return Path(end[1], tuple(reversed(steps)))
+    if col <= end[0]:
+        return None
+    for u in q.neighbours(v):
+        nxt = (col - 1, u)
+        if nxt != end and (r.values.get(nxt, 0) == 0 or u in r.s_vertices):
+            continue
+        if nxt[0] < end[0] or (nxt[0] == end[0] and u != end[1]):
+            continue
+        back = next(a for a in q.arrows_from(u) if a.head == v)
+        walk = _walk(r, q, nxt, end, steps + [back])
+        if walk is not None:
+            return walk
+    return None
 
 
 def _leading(x: PathElement) -> FieldElem:

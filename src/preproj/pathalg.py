@@ -23,10 +23,14 @@ nullspaces from ``eliminate``'s null rows.
 The same fact makes the symbol elimination independent of lambda: each
 weight-0 summand eliminates once, and the deformed summand at the same
 vertex reuses its basis and steps and solves only for the tails below each
-layer.
+layer.  The weight-0 tables are over Z: their entries, provenance and
+normal forms are Python ints (a Fraction only after a pivot other than
+1 or -1, which no type has shown), and field elements enter only through
+a query's own coefficients and a deformed summand's tails.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .dynkin import (Arrow, DynkinType, ExtDynkinType, Frozen, LabelledDoubleQuiver,
@@ -263,10 +267,11 @@ class Step(NamedTuple):
     symbol's reduced row, keyed like ``mul`` by (basis id, arrow id), and
     the provenance of each null row.  Raw relation row r is c.rho_v for
     c = layers[d-2][r] and v the target of c; the symbol half of a reduced
-    row is not kept, since ``mul`` holds the same numbers."""
+    row is not kept, since ``mul`` holds the same numbers.  The entries
+    are ints, or Fractions."""
 
-    prov: dict[tuple[int, int], dict[int, FieldElem]]
-    nulls: list[dict[int, FieldElem]]
+    prov: dict[tuple[int, int], dict[int, int | Fraction]]
+    nulls: list[dict[int, int | Fraction]]
 
 
 class QuotientModel:
@@ -286,8 +291,9 @@ class QuotientModel:
         self.source = source
         # the nonzero lambda_w by vertex, shared by the summands of one algebra
         self.lam = lam
-        # (basis id, arrow id) -> normal form of basis element times arrow
-        self.mul: dict[tuple[int, int], dict[int, FieldElem]] = {}
+        # (basis id, arrow id) -> normal form of basis element times arrow,
+        # on ints at weight 0
+        self.mul: dict[tuple[int, int], dict[int, int | Fraction | FieldElem]] = {}
         # the nonzero parts of mul below the top degree (none at weight 0)
         self.low: dict[tuple[int, int], dict[int, FieldElem]] = {}
         # the weight-0 summand at the same vertex, or None when this is it
@@ -329,13 +335,13 @@ class QuotientModel:
         product is homogeneous, so the rows have no tails."""
         syms = self._symbols(d)
         sym_index = {(bid, a.id): k for k, (bid, a) in enumerate(syms)}
-        sym_rows: list[dict[int, FieldElem]] = []
+        sym_rows: list[dict[int, int]] = []
         for cid in self.layers[d - 2] if d >= 2 else ():
-            sym: dict[int, FieldElem] = {}
+            sym: dict[int, int] = {}
             for sign, first, second in self.quiver.rho[self.basis[cid].target]:
                 for bid, coef in self.mul[(cid, first)].items():
                     k = sym_index[(bid, second)]
-                    sym[k] = sym.get(k, ZERO) + coef * sign
+                    sym[k] = sym.get(k, 0) + coef * sign
             sym_rows.append({k: x for k, x in sym.items() if x})
         rows, nulls = eliminate(sym_rows)
 
@@ -343,7 +349,7 @@ class QuotientModel:
         # symbol's entry is minus the rest of its reduced row, whose columns
         # all come before the pivot and so already name basis elements
         sym_to_basis: dict[int, int] = {}
-        prov: dict[tuple[int, int], dict[int, FieldElem]] = {}
+        prov: dict[tuple[int, int], dict[int, int]] = {}
         for k, (bid, a) in enumerate(syms):
             key = (bid, a.id)
             if k in rows:
@@ -351,7 +357,7 @@ class QuotientModel:
                 self.mul[key] = {sym_to_basis[k2]: -x for k2, x in sym.items() if k2 != k}
                 continue
             sym_to_basis[k] = len(self.basis)
-            self.mul[key] = {len(self.basis): ONE}
+            self.mul[key] = {len(self.basis): 1}
             self.basis.append(self.basis[bid].then(a))
         self.layers.append(list(sym_to_basis.values()))
         self.steps.append(Step(prov, nulls))
@@ -393,21 +399,25 @@ class QuotientModel:
 
     # -- normal forms --------------------------------------------------------
 
-    def nf_path(self, p: Path) -> dict[int, FieldElem]:
+    def nf_path(self, p: Path) -> dict[int, int | Fraction | FieldElem]:
+        """The normal form of p by basis id: ints at weight 0."""
         if p.source != self.source:
             raise DomainError(f"path {p} does not lie in the summand of vertex {self.source}")
         self.extend_to(len(p))
-        vec = {0: ONE}
+        vec = {0: 1}
         for a in p.arrows:
             vec = self._then(vec, a.id)
         return vec
 
-    def _then(self, vec: dict[int, FieldElem], aid: int) -> dict[int, FieldElem]:
-        """The normal form of vec times the arrow with id aid."""
-        out: dict[int, FieldElem] = {}
+    def _then(self, vec: dict, aid: int) -> dict:
+        """The normal form of vec times the arrow with id aid; a sum starts
+        at its first term, not at ZERO, which would make ints field
+        elements."""
+        out: dict = {}
         for bid, coef in vec.items():
             for b2, c2 in self.mul[(bid, aid)].items():
-                out[b2] = out.get(b2, ZERO) + coef * c2
+                x = out.get(b2)
+                out[b2] = coef * c2 if x is None else x + coef * c2
         return {k: x for k, x in out.items() if x}
 
     def nf(self, x: PathElement) -> dict[int, FieldElem]:
@@ -451,7 +461,7 @@ class QuotientModel:
         pending: list[dict[tuple[int, int, tuple[int, ...]], FieldElem]] = [
             {} for _ in range(x.degree + 1)]
         for p, coef in x.terms.items():
-            vec = {0: ONE}
+            vec = {0: 1}
             ids = tuple(a.id for a in p.arrows)
             for i, a in enumerate(ids):
                 for bid, c in vec.items():
@@ -477,10 +487,22 @@ class QuotientModel:
                         for b2, c2 in low.get((cid, first), {}).items():
                             slot, key = pending[len(basis[b2]) + 1], (b2, second, r)
                             slot[key] = slot.get(key, ZERO) + m * c2
-        out = [(c, basis[cid], basis[cid].target,
-                Path(basis[cid].target, tuple(by_id[a] for a in r)))
-               for (cid, r), c in cert.items() if c]
-        out.sort(key=lambda t: (len(t[1]), len(t[3]), t[1].name(), t[3].name(), t[2]))
+        out = []
+        for (cid, r), c in cert.items():
+            if c:
+                u = basis[cid]
+                v = h = u.target
+                for a in r:
+                    h = hash((h, a))
+                arrows = tuple(by_id[a] for a in r)
+                out.append((c, u, v, _path(v, arrows, arrows[-1].head if r else v, h)))
+        # by length, then by name: '.' sorts below every character of an
+        # arrow name, so names joined with it sort as the words of the
+        # arrows' ranks in the string order of their names, one character
+        # per arrow
+        rank = self.quiver.name_rank
+        out.sort(key=lambda t: (len(t[1]), len(t[3]), "".join([rank[a.id] for a in t[1].arrows]),
+                                "".join([rank[a.id] for a in t[3].arrows]), t[2]))
         return out
 
     # -- dimension data --------------------------------------------------------
@@ -494,7 +516,8 @@ def _axpy(dst: dict, src: dict, coef) -> None:
     if not coef:
         return
     for k, v in src.items():
-        dst[k] = dst.get(k, ZERO) + coef * v
+        x = dst.get(k)
+        dst[k] = coef * v if x is None else x + coef * v
 
 
 def _clear(sym: dict, prov: dict, rows: dict[int, tuple[dict, dict]]) -> None:
@@ -512,7 +535,9 @@ def eliminate(sym_rows: list[dict[int, FieldElem]]
               ) -> tuple[dict[int, tuple[dict[int, FieldElem], dict[int, FieldElem]]],
                          list[dict[int, FieldElem]]]:
     """Reduced echelon form of the rows on their columns; the one exact
-    elimination of the package, one Gauss-Jordan pass.
+    elimination of the package, one Gauss-Jordan pass.  Rows of ints stay
+    on ints unless a pivot is not 1 or -1, which brings in Fractions; rows
+    of field elements give field elements.
 
     Returns the reduced rows, keyed by pivot column in the order the pivots
     were found, as (sym, prov) pairs, each sym 1 at its pivot, its largest
@@ -525,7 +550,7 @@ def eliminate(sym_rows: list[dict[int, FieldElem]]
     rows: dict[int, tuple[dict[int, FieldElem], dict[int, FieldElem]]] = {}
     nulls: list[dict[int, FieldElem]] = []
     for ridx, sym in enumerate(sym_rows):
-        sym, prov = dict(sym), {ridx: ONE}
+        sym, prov = dict(sym), {ridx: 1}
         _clear(sym, prov, rows)
         sym = {k: x for k, x in sym.items() if x}
         prov = {k: x for k, x in prov.items() if x}
@@ -533,8 +558,16 @@ def eliminate(sym_rows: list[dict[int, FieldElem]]
             nulls.append(prov)
             continue
         pk = max(sym)
-        if sym[pk] != ONE:
-            inv = ONE / sym[pk]
+        p = sym[pk]
+        if p != 1:
+            # an int pivot is inverted as Fraction(1, p), never as 1 / p,
+            # which is a float
+            if p == -1:
+                inv = -1
+            elif p.__class__ is FieldElem:
+                inv = ONE / p
+            else:
+                inv = Fraction(1, p)
             sym = {k: x * inv for k, x in sym.items()}
             prov = {k: x * inv for k, x in prov.items()}
         for k, (row_sym, row_prov) in rows.items():
@@ -667,13 +700,39 @@ def ideal_member(t: ExtDynkinType, w: Weight, x: PathElement) -> MembershipCerti
 
 def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
     """Expand the certificate terms in the free algebra; no linear algebra.
-    A term whose paths do not meet at a vertex of t is rejected unexpanded."""
-    rels = relation_set(build_extended(t), dict(enumerate(cert.weight.entries)))
+
+    A path is keyed by its source and its word, one character per arrow id,
+    which names it once every arrow is one of t's own: a term whose paths
+    do not meet at a vertex of t, or a path with an arrow that is not t's
+    own, is rejected unexpanded.  A word is a str, so u.rho_v.w is one
+    concatenation, and the keys are compact and hashed in C."""
+    q = build_extended(t)
+    rels = {v: [(_word(p), c) for p, c in rel.terms.items()]
+            for v, rel in relation_set(q, dict(enumerate(cert.weight.entries))).items()}
     if any(v not in rels or u.target != v or w.source != v for _, u, v, w in cert.terms):
         return False
-    return PathElement.sum(
-        multiply(multiply(PathElement.of_path(u), rels[v]), PathElement.of_path(w)).scale(c)
-        for c, u, v, w in cert.terms) == cert.element
+    by_id = q.by_id
+    paths = [p for _, u, _, w in cert.terms for p in (u, w)] + list(cert.element.terms)
+    if not all((own := by_id.get(a.id)) is a or own == a for p in paths for a in p.arrows):
+        return False
+    # minus the element, plus each term's words; an entry that cancels is
+    # dropped at once, so the dict stays as small as the element's
+    total = {(p.source, _word(p)): -c for p, c in cert.element.terms.items()}
+    for c, u, v, w in cert.terms:
+        left, right = _word(u), _word(w)
+        for word, x in rels[v]:
+            key = (u.source, left + word + right)
+            y = total.get(key)
+            y = c * x if y is None else y + c * x
+            if y:
+                total[key] = y
+            else:
+                total.pop(key, None)
+    return not any(total.values())
+
+
+def _word(p: Path) -> str:
+    return "".join([chr(a.id) for a in p.arrows])
 
 
 # ---------------------------------------------------------------------------

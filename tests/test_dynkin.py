@@ -62,6 +62,11 @@ def test_rejects_bad_ranks():
         DynkinType("A", 0)
     with pytest.raises(DomainError):
         DynkinType("E", 9)
+    # a rank is an int: not a float, a bool or a list, even of an int value
+    for cls, family, n in ((ExtDynkinType, "D", 4.0), (DynkinType, "A", True),
+                           (ExtDynkinType, "D", [4])):
+        with pytest.raises(DomainError, match="a rank must be an int"):
+            cls(family, n)
     # 20 is the largest rank a fixture, a test or a bench item uses
     assert MAX_RANK >= 20
     for family in "AD":
@@ -229,6 +234,18 @@ def test_paths_alternate_in_de_doubles():
         for a in q.arrows:
             if not a.reverse:
                 assert a.head in sinks and a.tail not in sinks
+
+
+def test_sink_class_is_built_once_per_quiver():
+    # the quiver's constructor decides it; ~A raises on every call
+    for t in ALL_EXTENDED:
+        q = build_extended(t)
+        if t.family == "A":
+            for _ in range(2):
+                with pytest.raises(DomainError, match="no sink class"):
+                    q.sink_class()
+        else:
+            assert q.sink_class() is q.sink_class()
 
 
 def test_per_type_data_is_shared():

@@ -790,6 +790,86 @@ def test_elimination_is_reduced_and_tracks_provenance():
             assert {k: x for k, x in got.items() if x} == want
 
 
+# -- weight 0 over Z -----------------------------------------------------------
+
+def test_elimination_of_int_rows_inverts_a_pivot_as_a_fraction():
+    # pivots of -2 and then 4: the rows go over to Fractions, never to floats
+    for sym_rows in ([{0: 1, 3: 2}, {1: -1, 3: -2}], [{2: 4, 5: -2}, {5: 2}, {2: 3}]):
+        rows, nulls = pathalg.eliminate(sym_rows)
+        values = [x for sym, prov in rows.values() for x in (*sym.values(), *prov.values())]
+        values += [x for prov in nulls for x in prov.values()]
+        assert {x.__class__ for x in values} == {int, Fraction}
+        assert all(sym[pk] == 1 for pk, (sym, _) in rows.items())
+        for prov, want in [(prov, sym) for sym, prov in rows.values()] + [(n, {}) for n in nulls]:
+            got = {}
+            for r, c in prov.items():
+                for k, x in sym_rows[r].items():
+                    got[k] = got.get(k, 0) + c * x
+            assert {k: x for k, x in got.items() if x} == want
+
+
+def test_weight0_tables_are_on_ints():
+    summands = [m for t in (ExtDynkinType("D", 5), ExtDynkinType("E", 6))
+                for m in model_for(t, Weight.of([0] * (t.n + 1))).values()]
+    for m in summands:
+        m.extend_to(8)
+    graded_dims_pi(DynkinType("D", 8))
+    summands += pathalg.model_for_dynkin(DynkinType("D", 8)).values()
+    for m in summands:
+        values = [x for entry in m.mul.values() for x in entry.values()]
+        values += [x for step in m.steps for p in (*step.prov.values(), *step.nulls)
+                   for x in p.values()]
+        assert values and {x.__class__ for x in values} <= {int, Fraction}
+        # a normal form starts at its first term, so it stays on ints too
+        nfs = [m.nf_path(p) for p in paths_by_degree(m.quiver, 4)[4] if p.source == m.source]
+        assert {x.__class__ for nf in nfs for x in nf.values()} == {int}
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["zero", "gaussian"])
+def test_certificates_have_field_coefficients(gaussian):
+    # the tables are on ints, the coefficients of a certificate field elements
+    t = ExtDynkinType("D", 5)
+    q = build_extended(t)
+    rng = random.Random(29)
+    w = Weight.of([FieldElem(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+                   if gaussian else 0 for _ in q.vertices])
+    rels = relation_set(q, dict(enumerate(w.entries)))
+    paths = paths_by_degree(q, 3)
+    for _ in range(12):
+        u = rng.choice(paths[rng.randint(0, 3)])
+        right = rng.choice([p for p in paths[rng.randint(0, 3)] if p.source == u.target])
+        x = multiply(multiply(PathElement.of_path(u), rels[u.target]),
+                     PathElement.of_path(right)).scale(rng.choice([1, -2, "1/3"]))
+        cert = ideal_member(t, w, x)
+        assert cert.terms and check_certificate(t, cert)
+        assert all(c.__class__ is FieldElem for c, *_ in cert.terms)
+
+
+def test_check_certificate_rejects_another_quivers_arrow_and_wrong_terms():
+    d4, d5 = build_extended(ExtDynkinType("D", 4)), build_extended(ExtDynkinType("D", 5))
+    t, w0 = ExtDynkinType("D", 4), Weight.of([0] * 5)
+    rels = relation_set(d4, dict(enumerate(w0.entries)))
+    # ~D5's a4 (3->4) has the id of ~D4's a4 (4->2) but not its endpoints:
+    # the words of u.rho_4 and of the element agree, the arrows do not
+    for name, own in (("a0", True), ("a4", False)):
+        a = d5.arrow(name)
+        assert a.id == d4.arrow(name).id and (a == d4.arrow(name)) is own
+        u = Path(a.tail, (a,))
+        x = multiply(PathElement.of_path(u), rels[a.head])
+        cert = MembershipCertificate(w0, x, ((ONE, u, a.head, trivial_path(a.head)),))
+        assert check_certificate(t, cert) is own
+    # a flipped coefficient or a dropped term breaks the sum
+    fixture = next(f for f in MAP_FIXTURES if f.fixture_id == "D4-A3")
+    cert = max(verify_zero_product(t, w0, *fixture.matrices()).certificates,
+               key=lambda c: len(c.terms))
+    assert len(cert.terms) >= 2 and check_certificate(t, cert)
+    for k in range(len(cert.terms)):
+        c, u, v, w = cert.terms[k]
+        flipped = cert.terms[:k] + ((-c, u, v, w),) + cert.terms[k + 1:]
+        assert not check_certificate(t, cert._replace(terms=flipped))
+        assert not check_certificate(t, cert._replace(terms=cert.terms[:k] + cert.terms[k + 1:]))
+
+
 # -- zero products -----------------------------------------------------------
 
 def test_verify_zero_product_identity_sanity():
