@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dynkin import (Arrow, DynkinType, ExtDynkinType, Frozen, LabelledDoubleQuiver,
-                     build_dynkin, build_extended)
+                     build_dynkin, build_extended, nakayama)
 from .errors import DomainError, InternalInconsistency
 from .weights import FieldElem, Weight, ZERO, ONE, _check_length
 
@@ -505,12 +505,6 @@ class QuotientModel:
                                 "".join([rank[a.id] for a in t[3].arrows]), t[2]))
         return out
 
-    # -- dimension data --------------------------------------------------------
-
-    def layer_dims(self, degree: int) -> int:
-        self.extend_to(degree)
-        return len(self.layers[degree])
-
 
 def _axpy(dst: dict, src: dict, coef) -> None:
     if not coef:
@@ -602,69 +596,74 @@ def _reduced_tails(tails: list[dict[int, FieldElem]], prov: dict[tuple[int, int]
 # ---------------------------------------------------------------------------
 # model cache and public operations
 
-# keyed by (t, weight entries 0..n) for extended and by (t,) for Dynkin
-# types; each entry holds the summand e_v Pi^lambda of every vertex v
+# keyed by (t, weight entries 0..n); each entry holds the summand
+# e_v Pi^lambda of every vertex v
 _MODELS: dict[tuple, dict[int, QuotientModel]] = {}
 
 
-def _summands(q: LabelledDoubleQuiver, weight: dict[int, FieldElem],
-              graded: dict[int, QuotientModel] | None) -> dict[int, QuotientModel]:
-    """One summand per vertex, sharing the nonzero lambda_v; graded holds
-    the weight-0 summands whose elimination a deformation shares."""
-    lam = {v: x for v, x in weight.items() if x}
-    return {v: QuotientModel(q, v, lam, None if graded is None else graded[v])
-            for v in q.vertices}
-
-
 def model_for(t: ExtDynkinType, w: Weight) -> dict[int, QuotientModel]:
-    """The summands e_v Pi^lambda of Pi^lambda(~Q), by vertex; a summand
-    builds its layers when a query in it first needs them."""
+    """The summands e_v Pi^lambda of Pi^lambda(~Q), by vertex, each sharing
+    the weight-0 summand's elimination at its vertex; a summand builds its
+    layers when a query in it first needs them."""
     _check_length(t, w)
     key = (t, w.entries)
     models = _MODELS.get(key)
     if models is None:
-        graded = model_for(t, Weight.of([0] * (t.n + 1))) if any(key[1]) else None
-        models = _MODELS[key] = _summands(build_extended(t), dict(enumerate(key[1])), graded)
+        graded = model_for(t, Weight.of([0] * (t.n + 1))) if any(key[1]) else {}
+        q, lam = build_extended(t), {v: x for v, x in enumerate(key[1]) if x}
+        models = _MODELS[key] = {v: QuotientModel(q, v, lam, graded.get(v)) for v in q.vertices}
     return models
 
 
-def model_for_dynkin(t: DynkinType) -> dict[int, QuotientModel]:
-    try:
-        models = _MODELS.get((t,))
-    except TypeError:   # unhashable: build_dynkin rejects it
-        models = None
-    if models is None:
-        models = _MODELS[(t,)] = _summands(build_dynkin(t), {}, None)
-    return models
+def _hilbert(q: LabelledDoubleQuiver, v: int, top: int) -> list[dict[int, int]]:
+    """u_0..u_top for u_0 = e_v and u_d = A u_{d-1} - u_{d-2}, A counting
+    q's arrows, as ints by vertex with the zeros dropped: row v of
+    (1 - A t + t^2)^{-1}, so (u_d)_w = dim e_v Pi_d e_w for an extended
+    quiver (Crawley-Boevey-Holland), and below degree h - 1 for a Dynkin
+    one, whose series is (1 + P t^h)(1 - A t + t^2)^{-1} for P the
+    Nakayama permutation (Malkin-Ostrik-Vybornov)."""
+    us, prev = [{v: 1}], {}
+    for _ in range(top):
+        u = us[-1]
+        nxt = {w: -x for w, x in prev.items()}
+        for w, x in u.items():
+            for a in q.arrows_from(w):
+                nxt[a.head] = nxt.get(a.head, 0) + x
+        prev = u
+        us.append({w: x for w, x in nxt.items() if x})
+    return us
+
+
+def _dynkin_series(q: LabelledDoubleQuiver, t: DynkinType):
+    """u_0..u_{h-2} of each vertex i of q = build_dynkin(t) in turn, checked
+    against the Nakayama permutation nu: u_{h-1} vanishes, u_{h-2} is
+    e_{nu(i)}, and no entry is negative."""
+    h, nu = t.coxeter_number, nakayama(t).as_dict()
+    for i in q.vertices:
+        us = _hilbert(q, i, h - 1)
+        if us.pop() or us[-1] != {nu[i]: 1} or any(x < 0 for u in us for x in u.values()):
+            raise InternalInconsistency(
+                f"the Hilbert series of Pi({t}) at vertex {i} contradicts its Nakayama image")
+        yield us
 
 
 def graded_dims_pi(t: DynkinType) -> tuple[tuple[int, ...], int]:
-    """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total: the sums
-    of the summands' layer dimensions."""
-    models = model_for_dynkin(t)
-    guard = 2 * t.coxeter_number + 2
-    dims = [0] * (guard + 1)
-    for model in models.values():
-        for d in range(guard + 1):
-            dim = model.layer_dims(d)
-            if dim == 0:
-                break
-            dims[d] += dim
-        else:
-            raise InternalInconsistency(f"Pi({t}) did not terminate by degree {guard}")
-    while not dims[-1]:
-        dims.pop()
-    return tuple(dims), sum(dims)
+    """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total, summed
+    from the Hilbert series; degree h - 2 is the top."""
+    per_vertex = ([sum(u.values()) for u in us] for us in _dynkin_series(build_dynkin(t), t))
+    dims = tuple(map(sum, zip(*per_vertex)))
+    return dims, sum(dims)
 
 
 def hom_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     """H_ij = dim e_i Pi(Q) e_j over the canonical vertex labels 1..n: the
-    basis of summand i counted by target."""
-    graded_dims_pi(t)
+    Hilbert series of vertex i summed over the degrees."""
+    q = build_dynkin(t)
     out = [[0] * t.n for _ in range(t.n)]
-    for i, model in model_for_dynkin(t).items():
-        for b in model.basis:
-            out[i - 1][b.target - 1] += 1
+    for row, us in zip(out, _dynkin_series(q, t)):
+        for u in us:
+            for j, x in u.items():
+                row[j - 1] += x
     return tuple(tuple(r) for r in out)
 
 

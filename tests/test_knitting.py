@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
 
 from oracles import parse_element
-from preproj import knitting
+from preproj import knitting, pathalg
 from preproj.dynkin import ExtDynkinType, build_extended
 from preproj.errors import DomainError, InternalInconsistency
 from preproj.fixtures import golden_knit_fixtures, worked_example_fixtures
@@ -97,6 +98,40 @@ def test_pattern_invariants_on_golden_corpus():
         sinks = build_extended(f.type).sink_class()
         for (col, v) in values:
             assert (v in sinks) == (col % 2 == 1)
+
+
+def test_every_knitted_sequence_has_the_dimensions_of_an_exact_one():
+    # every (S, target) with 0 in S and target outside it, on ~D4..~D8 and
+    # ~E6..~E8: with V_v(d) = dim (e_v Pi e_0)_d off the Hilbert series, a
+    # cell's shift its column minus the box's and V(d) = 0 for d < 0,
+    # V_target(d) - sum_circled value * V_j(d - shift) + V_kernel(d - shift) = 0
+    # for d <= 40; moving the kernel term two degrees breaks it
+    pairs = controls = 0
+    for t in ([ExtDynkinType("D", n) for n in range(4, 9)]
+              + [ExtDynkinType("E", n) for n in (6, 7, 8)]):
+        q = build_extended(t)
+        dims = {v: [u.get(0, 0) for u in pathalg._hilbert(q, v, 40)] for v in q.vertices}
+
+        def residue(terms):
+            return [sum(x * dims[v][d - shift] for x, v, shift in terms if shift <= d)
+                    for d in range(41)]
+
+        for k in range(t.n + 1):
+            for rest in itertools.combinations(q.vertices[1:], k):
+                s = {0, *rest}
+                for target in (v for v in q.vertices if v not in s):
+                    r = knit(t, s, target)
+                    box = r.boxed[0]
+                    # the circled terms, collected once per pair
+                    terms = [(1, target, 0)] + [(-x, j, c - box) for (c, j), x in r.values.items()
+                                                if x and j in s]
+                    kernel_shift = r.kernel_cell[0] - box
+                    assert not any(residue(terms + [(1, r.kernel, kernel_shift)])), (t, s, target)
+                    if pairs % 500 == 0:
+                        assert any(residue(terms + [(1, r.kernel, kernel_shift + 2)]))
+                        controls += 1
+                    pairs += 1
+    assert (pairs, controls) == (3440, 7)
 
 
 def test_render_pattern():

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from oracles import (as_pair, brute_filtered_member, brute_graded_dims, brute_gr
                      brute_product, brute_scale, element_pairs, oracle_relations, pair_product,
                      parse_element, paths_by_degree, rank_of_rows, unit, walk)
 from preproj import pathalg
-from preproj.dynkin import DynkinType, ExtDynkinType, build_dynkin, build_extended, nakayama
+from preproj.dynkin import (DynkinType, ExtDynkinType, VertexPermutation, build_dynkin,
+                            build_extended, nakayama)
 from preproj.errors import DomainError, InternalInconsistency
 from preproj.fixtures import (H_E, MAP_FIXTURES, dim_pi_total,
                               dim_vertex_module, erdmann_a_entry)
@@ -526,9 +528,12 @@ def test_filtered_dims_match_graded_dims():
     m0 = model_for(t, Weight.of([0] * 5))
     me = model_for(t, epsilon0(t))
     mg = model_for(t, Weight.of([1, "1/2", 0, "2/3", 5]))
+    # and they are the Hilbert series of ~D4 (Crawley-Boevey-Holland)
     for v in range(5):
-        dims = [[m[v].layer_dims(d) for d in range(9)] for m in (m0, me, mg)]
-        assert dims[0] == dims[1] == dims[2]
+        want = [sum(u.values()) for u in pathalg._hilbert(build_extended(t), v, 8)]
+        for m in (m0, me, mg):
+            m[v].extend_to(8)
+            assert [len(layer) for layer in m[v].layers[:9]] == want
 
 
 def test_deformed_models_share_the_weight0_elimination():
@@ -649,11 +654,34 @@ def test_element_sums_take_only_elements():
     assert x - x == PathElement() and x + x == x.scale(2)
 
 
-def test_model_for_dynkin_is_one_model_per_type():
-    d4 = pathalg.model_for_dynkin(DynkinType("D", 4))
-    assert pathalg.model_for_dynkin(DynkinType("D", 4)) is d4
-    assert [(v, m.source) for v, m in d4.items()] == [(v, v) for v in range(1, 5)]
-    assert pathalg.model_for_dynkin(DynkinType("D", 5)) is not d4
+DYNKIN_TO_E8 = ([DynkinType("A", n) for n in range(1, 21)]
+                + [DynkinType("D", n) for n in range(4, 17)]
+                + [DynkinType("E", n) for n in (6, 7, 8)])
+
+
+def test_engine_layers_are_the_hilbert_series():
+    # the engine's weight-0 summand of every vertex, counted by degree and
+    # target, is the recurrence that dims reads, and its layer h - 1 is empty
+    for t in DYNKIN_TO_E8:
+        q, h = build_dynkin(t), t.coxeter_number
+        for v in q.vertices:
+            m = pathalg.QuotientModel(q, v, {}, None)
+            m.extend_to(h - 1)
+            series = pathalg._hilbert(q, v, h - 1)
+            assert not series[h - 1] and not m.layers[h - 1], (t, v)
+            for d, layer in enumerate(m.layers):
+                assert dict(Counter(m.basis[b].target for b in layer)) == series[d], (t, v, d)
+
+
+def test_a_wrong_nakayama_permutation_is_an_inconsistency(monkeypatch):
+    # the hand-written table and the recurrence check each other: with the
+    # identity, A3's vertex 1 ends at vertex 3, not at 1; D4's is the identity
+    monkeypatch.setattr(pathalg, "nakayama",
+                        lambda t: VertexPermutation.of({i: i for i in range(1, t.n + 1)}))
+    for f in (graded_dims_pi, hom_matrix):
+        with pytest.raises(InternalInconsistency, match=r"Pi\(A3\) at vertex 1 contradicts"):
+            f(DynkinType("A", 3))
+    assert graded_dims_pi(DynkinType("D", 4))[1] == 28
 
 
 def test_a_query_builds_only_the_summand_it_lives_in(monkeypatch):
@@ -813,8 +841,10 @@ def test_weight0_tables_are_on_ints():
                 for m in model_for(t, Weight.of([0] * (t.n + 1))).values()]
     for m in summands:
         m.extend_to(8)
-    graded_dims_pi(DynkinType("D", 8))
-    summands += pathalg.model_for_dynkin(DynkinType("D", 8)).values()
+    q8 = build_dynkin(DynkinType("D", 8))
+    for v in q8.vertices:
+        summands.append(pathalg.QuotientModel(q8, v, {}, None))
+        summands[-1].extend_to(13)
     for m in summands:
         values = [x for entry in m.mul.values() for x in entry.values()]
         values += [x for step in m.steps for p in (*step.prov.values(), *step.nulls)
