@@ -275,22 +275,28 @@ def cmd_verify(args) -> tuple[int, dict, Lines]:
 # argument parsing and dispatch
 
 
-def _is_integer(text: str) -> bool:
-    return re.fullmatch(_INTEGER, text.strip()) is not None
+def _integer(text: str) -> int | None:
+    """text as an int when it is an ASCII integer that int() takes, else None."""
+    if re.fullmatch(_INTEGER, text.strip()) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # int() takes at most sys.get_int_max_str_digits() digits
+        return None
 
 
 def _vertex(text: str) -> int:
-    if not _is_integer(text):
+    if (v := _integer(text)) is None:
         raise argparse.ArgumentTypeError(f"expected a vertex index, got {text!r}")
-    return int(text)
+    return v
 
 
 def _vertex_set(text: str) -> frozenset[int]:
-    parts = text.split(",")
-    if not all(map(_is_integer, parts)):
+    vs = [_integer(p) for p in text.split(",")]
+    if None in vs:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated vertex indices, got {text!r}")
-    return frozenset(map(int, parts))
+    return frozenset(vs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -154,8 +154,12 @@ def parse_type(text: str) -> ExtDynkinType | DynkinType:
     body = text[1:] if extended else text
     if not body or body[0] not in FAMILIES or re.fullmatch(_DIGITS, body[1:]) is None:
         raise DomainError(f"cannot parse Dynkin type {text!r}")
-    family, n = body[0], int(body[1:])
-    return ExtDynkinType(family, n) if extended else DynkinType(family, n)
+    try:
+        n = int(body[1:])
+    except ValueError:  # int() takes at most sys.get_int_max_str_digits() digits
+        raise DomainError(f"type {body[0]} supports n <= {MAX_RANK}, "
+                          f"got a rank of {len(body) - 1} digits") from None
+    return ExtDynkinType(body[0], n) if extended else DynkinType(body[0], n)
 
 
 class Arrow(Frozen):

@@ -195,10 +195,12 @@ ZERO = FieldElem()
 ONE = FieldElem(1)
 MINUS_ONE = FieldElem(-1)
 
-_UNSIGNED = rf"{_DIGITS}(?:/{_DIGITS})?"
+_NUMBER = rf"({_DIGITS})(?:/({_DIGITS}))?"
+# the sign, numerator and denominator of the real part and of the imaginary
+# part after it, then of a pure imaginary part; a missing numerator is 1
 _ELEM_RE = re.compile(
-    rf"^\s*(?:(?P<re>[+-]?{_UNSIGNED})(?:\s*(?P<im1>[+-]\s*(?:{_UNSIGNED})?)\s*i)?"
-    rf"|(?P<im2>[+-]?(?:{_UNSIGNED})?)\s*i)\s*$")
+    rf"^\s*(?:([+-]?){_NUMBER}(?:\s*([+-])\s*(?:{_NUMBER})?\s*i)?"
+    rf"|([+-]?)(?:{_NUMBER})?\s*i)\s*$")
 
 
 def parse_field_elem(text: str) -> FieldElem:
@@ -206,28 +208,27 @@ def parse_field_elem(text: str) -> FieldElem:
     m = _ELEM_RE.match(text)
     if not m:
         raise DomainError(f"cannot parse field element {text!r}")
+    rs, rn, rd, s, n, d, s2, n2, d2 = m.groups()
     try:
-        return _field_elem_of(m)
+        if rn is None:
+            return _make(0, _part(s2, n2, d2))
+        return _make(_part(rs, rn, rd), 0 if s is None else _part(s, n, d))
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in field element {text!r}") from None
+    except ValueError:  # int() takes at most sys.get_int_max_str_digits() digits
+        raise DomainError(f"too many digits in field element {text!r}") from None
 
 
-def _field_elem_of(m: re.Match) -> FieldElem:
-    if m.group("im2") is not None:
-        im = re.sub(r"\s", "", m.group("im2"))
-        if im in ("", "+"):
-            im = "1"
-        elif im == "-":
-            im = "-1"
-        return _make(0, _canon(Fraction(im)))
-    re_part = _canon(Fraction(m.group("re")))
-    im_part = 0
-    if m.group("im1") is not None:
-        s = re.sub(r"\s", "", m.group("im1"))
-        if s in ("+", "-"):
-            s += "1"
-        im_part = _canon(Fraction(s))
-    return _make(re_part, im_part)
+def _part(sign: str, num: str | None, den: str | None) -> int | Fraction:
+    n = 1 if num is None else int(num)
+    if sign == "-":
+        n = -n
+    return n if den is None else _ratio(n, int(den))
+
+
+def _ratio(n: int, d: int) -> int | Fraction:
+    """n/d in canonical form: a Fraction only when d does not divide n."""
+    return Fraction(n, d) if n % d else n // d
 
 
 def format_field_elem(x: FieldElem) -> str:
@@ -282,7 +283,7 @@ def _weight(entries: tuple[FieldElem, ...]) -> Weight:
 
 
 def parse_weight(text: str) -> Weight:
-    return Weight.of([parse_field_elem(p) for p in text.split(",")])
+    return _weight(tuple(map(parse_field_elem, text.split(","))))
 
 
 def format_weight(w: Weight) -> str:
@@ -375,10 +376,11 @@ def _lattice(w: Weight) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _unscale(re: int, im: int, d: int) -> FieldElem:
-    """(re + im*i) / d for ints re, im and d > 0, in canonical form."""
+    """(re + im*i) / d for ints re, im and d > 0, in canonical form; a part
+    that d divides, zero included, is an int."""
     if d == 1:
         return _make(re, im)
-    return _make(_canon(Fraction(re, d)), _canon(Fraction(im, d)))
+    return _make(_ratio(re, d), _ratio(im, d))
 
 
 def _fire(t: ExtDynkinType, w: Weight, vertices: range) -> tuple[Weight, list[int]]:

@@ -9,16 +9,21 @@ over exact rationals) and never calls the layered engine it checks.  The
 two reference loops, ``reference_fire`` and ``reference_presentation``,
 play the numbers game and build the ~A presentation in field arithmetic on
 the weight itself, one ``dual_reflection`` per firing, which the lattice
-versions in the package must match exactly.
+versions in the package must match exactly; ``reference_parse_field_elem``
+parses each part of a field element with ``Fraction(str)``, which the
+package's parser, on ints, must match exactly.
 """
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
-from preproj.dynkin import Arrow, build_extended, delta_vector
+from preproj.dynkin import _DIGITS, Arrow, build_extended, delta_vector
+from preproj.errors import DomainError
 from preproj.pathalg import Path, PathElement, multiply, parse_path, trivial_path
-from preproj.weights import FieldElem, ONE, Weight, ZERO, dot_delta, dual_reflection
+from preproj.weights import (FieldElem, ONE, Weight, ZERO, _canon, _make, dot_delta,
+                             dual_reflection)
 
 
 def unit(v):
@@ -402,6 +407,44 @@ def root_descriptor(t, w, roots: set[tuple[int, ...]]) -> tuple[str, ...]:
         size = sum(1 for a in zero if any(form(a, b) for b in comp))
         types.append(ADE_BY_RANK_AND_SIZE[len(comp), size])
     return tuple(sorted(types))
+
+
+# the reference field-element parser: it matches the text, then parses each
+# captured part again with Fraction(str), which the package's parser must
+# match in value, part types and error text
+_UNSIGNED = rf"{_DIGITS}(?:/{_DIGITS})?"
+_ELEM_RE = re.compile(
+    rf"^\s*(?:(?P<re>[+-]?{_UNSIGNED})(?:\s*(?P<im1>[+-]\s*(?:{_UNSIGNED})?)\s*i)?"
+    rf"|(?P<im2>[+-]?(?:{_UNSIGNED})?)\s*i)\s*$")
+
+
+def reference_parse_field_elem(text: str) -> FieldElem:
+    """Parse "a", "a/b", "a/b+c/d i", or a pure imaginary like "-i"."""
+    m = _ELEM_RE.match(text)
+    if not m:
+        raise DomainError(f"cannot parse field element {text!r}")
+    try:
+        return _field_elem_of(m)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in field element {text!r}") from None
+
+
+def _field_elem_of(m: re.Match) -> FieldElem:
+    if m.group("im2") is not None:
+        im = re.sub(r"\s", "", m.group("im2"))
+        if im in ("", "+"):
+            im = "1"
+        elif im == "-":
+            im = "-1"
+        return _make(0, _canon(Fraction(im)))
+    re_part = _canon(Fraction(m.group("re")))
+    im_part = 0
+    if m.group("im1") is not None:
+        s = re.sub(r"\s", "", m.group("im1"))
+        if s in ("+", "-"):
+            s += "1"
+        im_part = _canon(Fraction(s))
+    return _make(re_part, im_part)
 
 
 # the slots of "a + b i", each filled with a valid choice or a near miss

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -240,6 +241,33 @@ def test_huge_ranks_are_domain_errors(argv, capsys):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+# one digit more than int() takes from a string; 0 means no limit
+INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_LONG = "1" * (INT_DIGITS_LIMIT + 1)
+OVER_LONG_NUMBERS = [
+    (["decompose", "--type", "~A2", "--weights", f"{OVER_LONG},0,0"], 1, "too many digits"),
+    (["decompose", "--type", "~A2", "--weights", f"0,1/{OVER_LONG},0"], 1, "too many digits"),
+    (["decompose", "--type", "~A2", "--weights", f"0,0,1-{OVER_LONG}i"], 1, "too many digits"),
+    (["decompose", "--type", f"~A{OVER_LONG}", "--weights", "0"], 1, "supports n <= 100"),
+    (["knit", "--type", "~D5", "--S", "0,5", "--target", OVER_LONG], 2,
+     "argument --target: expected a vertex index"),
+    (["knit", "--type", "~D5", "--S", f"0,{OVER_LONG}", "--target", "4"], 2,
+     "argument --S: expected comma-separated vertex indices"),
+]
+
+
+@pytest.mark.skipif(INT_DIGITS_LIMIT == 0, reason="int() takes any number of digits")
+@pytest.mark.parametrize("argv,code,err", OVER_LONG_NUMBERS,
+                         ids=["weights-real", "weights-denominator", "weights-imaginary",
+                              "type-rank", "knit-target", "knit-S"])
+def test_over_long_numbers_are_domain_or_usage_errors(argv, code, err, capsys):
+    # int() raised ValueError on these, a traceback or argparse's generic message
+    assert main(argv) == code
+    out, got = capsys.readouterr()
+    assert out == "" and "Traceback" not in got and err in got
+    assert got.startswith("error:" if code == 1 else "usage:")
 
 
 KNIT_D5 = ["knit", "--type", "~D5"]

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (as_pair, fuzz_text, pair_product, reference_fire, reference_presentation,
-                     schedler_configuration)
+from oracles import (as_pair, fuzz_text, pair_product, reference_fire,
+                     reference_parse_field_elem, reference_presentation, schedler_configuration)
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
 from preproj.errors import DomainError
 from preproj.weights import (FieldElem, MINUS_ONE, ONE, Weight, ZERO, _candidate_positives,
-                             _check_length, apply_reflections,
+                             _check_length, _unscale, apply_reflections,
                              classify_weight, dot_delta,
                              dual_reflection, epsilon0, format_field_elem,
                              format_weight, is_quasi_dominant, numbers_game,
@@ -537,6 +537,59 @@ def test_parse_gives_canonical_parts():
 def test_parse_whitespace_inside_imaginary_part():
     assert parse_field_elem("1 +\t7i") == FieldElem(1, 7)
     assert parse_field_elem("-\t i") == FieldElem(0, -1)
+
+
+def bench_shaped_entry(rng):
+    """A seeded entry shaped like those of the weights benchmark: 0 (about a
+    third), a small integer or a/b, plus a nonzero c/d i in one of four."""
+    def fraction():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    roll = rng.random()
+    if roll < 0.35:
+        return "0"
+    re_part = Fraction(rng.randint(-3, 3)) if roll < 0.75 else fraction()
+    if rng.random() < 0.75:
+        return str(re_part)
+    im_part = fraction()
+    return f"{re_part}{'+' if im_part > 0 else '-'}{abs(im_part)}i"
+
+
+def parse_outcome(parse, text):
+    """The value and part types parse gives text, or its DomainError text."""
+    try:
+        x = parse(text)
+    except DomainError as e:
+        return "DomainError", str(e)
+    return x.re, type(x.re), x.im, type(x.im)
+
+
+PARSE_EDGE_CASES = ("0/5", "-0", "007/014", "+i", "-3/4i", "1 +\t7i", "-\t i", "2/4+6/8i")
+
+
+def test_parse_field_elem_matches_the_reference():
+    rng = random.Random(43)
+    texts = ([bench_shaped_entry(rng) for _ in range(20000)]
+             + [fuzz_text(rng) for _ in range(10000)] + list(PARSE_EDGE_CASES))
+    kinds = set()
+    for text in texts:
+        got = parse_outcome(parse_field_elem, text)
+        assert got == parse_outcome(reference_parse_field_elem, text), text
+        kinds.add(got[1] if got[0] == "DomainError" else (got[1], got[3]))
+    # both error kinds and every combination of part types were compared
+    assert {(int, int), (int, Fraction), (Fraction, int), (Fraction, Fraction)} <= kinds
+    assert {e.partition(" field element ")[0] for e in kinds if isinstance(e, str)} == {
+        "cannot parse", "zero denominator in"}
+
+
+def test_unscale_parts_are_canonical():
+    cases = [((0, 0, 3), (0, 0)), ((6, 0, 3), (2, 0)), ((0, 5, 10), (0, Fraction(1, 2))),
+             ((-4, 6, 2), (-2, 3)), ((1, -2, 4), (Fraction(1, 4), Fraction(-1, 2))),
+             ((3, 7, 1), (3, 7)), ((-9, 0, 6), (Fraction(-3, 2), 0))]
+    for (re_part, im_part, d), want in cases:
+        x = _unscale(re_part, im_part, d)
+        assert (x.re, x.im) == want
+        assert_canonical(x)
 
 
 def test_parse_field_elem_fuzz():
