@@ -23,10 +23,16 @@ nullspaces from ``eliminate``'s null rows.
 The same fact makes the symbol elimination independent of lambda: each
 weight-0 summand eliminates once, and the deformed summand at the same
 vertex reuses its basis and steps and solves only for the tails below each
-layer.  The weight-0 tables are over Z: their entries, provenance and
-normal forms are Python ints (a Fraction only after a pivot other than
-1 or -1, which no type has shown), and field elements enter only through
-a query's own coefficients and a deformed summand's tails.
+layer.  The coefficient ring follows the inputs.  The weight-0 tables are
+over Z: their entries, provenance and normal forms are Python ints (a
+Fraction only after a pivot other than 1 or -1, which no type has shown).
+A real lambda_v, and a real coefficient of a query, enters as its exact
+rational, an int or a Fraction, so a real weight's tails, normal forms and
+certificate sums stay on the rationals; every sum starts at its first term,
+since a start at ZERO would make them field elements.  Field elements enter
+only through a Gaussian lambda_v or coefficient, and public values are
+built as field elements once, at output: the coefficients of a
+``PathElement`` and of a certificate's terms.
 """
 from __future__ import annotations
 
@@ -37,6 +43,10 @@ from .dynkin import (Arrow, DynkinType, ExtDynkinType, Frozen, LabelledDoubleQui
                      build_dynkin, build_extended, nakayama)
 from .errors import DomainError, InternalInconsistency
 from .weights import FieldElem, Weight, ZERO, ONE, _check_length
+
+# a coefficient inside the engine: an exact rational, or a field element
+# where a Gaussian part has entered
+Scalar = int | Fraction | FieldElem
 
 # ---------------------------------------------------------------------------
 # paths and path elements
@@ -286,16 +296,17 @@ class QuotientModel:
     each new layer."""
 
     def __init__(self, quiver: LabelledDoubleQuiver, source: int,
-                 lam: dict[int, FieldElem], graded: "QuotientModel | None"):
+                 lam: dict[int, Scalar], graded: "QuotientModel | None"):
         self.quiver = quiver
         self.source = source
-        # the nonzero lambda_w by vertex, shared by the summands of one algebra
+        # the nonzero lambda_w by vertex, a real one as its exact rational,
+        # shared by the summands of one algebra
         self.lam = lam
         # (basis id, arrow id) -> normal form of basis element times arrow,
-        # on ints at weight 0
-        self.mul: dict[tuple[int, int], dict[int, int | Fraction | FieldElem]] = {}
+        # on ints at weight 0 and on the rationals at a real weight
+        self.mul: dict[tuple[int, int], dict[int, Scalar]] = {}
         # the nonzero parts of mul below the top degree (none at weight 0)
-        self.low: dict[tuple[int, int], dict[int, FieldElem]] = {}
+        self.low: dict[tuple[int, int], dict[int, Scalar]] = {}
         # the weight-0 summand at the same vertex, or None when this is it
         self.graded = graded
         if graded is not None:
@@ -371,20 +382,19 @@ class QuotientModel:
         graded.extend_to(d)
         step = self.steps[d]
         mul, low, rho, lam = self.mul, self.low, self.quiver.rho, self.lam
-        tails: list[dict[int, FieldElem]] = []
+        tails: list[dict[int, Scalar]] = []
         for cid in self.layers[d - 2] if d >= 2 else ():
-            tail: dict[int, FieldElem] = {}
+            tail: dict[int, Scalar] = {}
             v = self.basis[cid].target
             for sign, first, second in rho[v]:
                 below = low.get((cid, first))
                 if below is None:
                     continue
                 for bid, coef in below.items():
-                    coef = coef * sign
-                    for b2, c2 in mul[(bid, second)].items():
-                        tail[b2] = tail.get(b2, ZERO) + coef * c2
+                    _axpy(tail, mul[(bid, second)], coef if sign > 0 else -coef)
             if v in lam:
-                tail[cid] = tail.get(cid, ZERO) - lam[v]
+                x = tail.get(cid)
+                tail[cid] = -lam[v] if x is None else x - lam[v]
             tails.append({k: x for k, x in tail.items() if x})
         reduced = _reduced_tails(tails, step.prov, step.nulls)
         self.layers.append(graded.layers[d])
@@ -399,8 +409,9 @@ class QuotientModel:
 
     # -- normal forms --------------------------------------------------------
 
-    def nf_path(self, p: Path) -> dict[int, int | Fraction | FieldElem]:
-        """The normal form of p by basis id: ints at weight 0."""
+    def nf_path(self, p: Path) -> dict[int, Scalar]:
+        """The normal form of p by basis id: ints at weight 0, rationals at
+        a real weight."""
         if p.source != self.source:
             raise DomainError(f"path {p} does not lie in the summand of vertex {self.source}")
         self.extend_to(len(p))
@@ -420,11 +431,12 @@ class QuotientModel:
                 out[b2] = coef * c2 if x is None else x + coef * c2
         return {k: x for k, x in out.items() if x}
 
-    def nf(self, x: PathElement) -> dict[int, FieldElem]:
-        out: dict[int, FieldElem] = {}
+    def nf(self, x: PathElement) -> dict[int, Scalar]:
+        """The normal form of x by basis id; a real coefficient of x enters
+        as its exact rational."""
+        out: dict[int, Scalar] = {}
         for p, coef in x.terms.items():
-            for bid, c in self.nf_path(p).items():
-                out[bid] = out.get(bid, ZERO) + coef * c
+            _axpy(out, self.nf_path(p), _rational(coef))
         return {k: v for k, v in out.items() if v}
 
     def is_zero(self, x: PathElement) -> bool:
@@ -442,14 +454,17 @@ class QuotientModel:
         Walking a path arrow by arrow telescopes: p - nf(p) is the sum, over
         the splits p = q.a.r, of nf(q)_b E(b, a) r.  So x, whose normal form
         vanishes, is a combination of table entries E(b, a) r, each in layer
-        d = |b| + 1.  E(b, a) is 0 unless (b, a) is a pivot symbol; then the
+        d = |b| + 1.  E(b, a) is 0 unless (b, a) is a pivot symbol of the
+        layer's ``Step``, so only those entries are recorded; then the
         provenance pi of its reduced row gives
           E(b, a) = sum_r pi_r (c rho_v - sum_{sign first.second in rho_v}
                     sign (E(c, first) second
                           + sum_{b2} low[c, first]_{b2} E(b2, second)))
         over the raw rows c.rho_v, and every entry on the right lies in a
         lower layer.  One pass from the top layer down expands each entry
-        once, with no division.
+        once, with no division.  The sums run on the exact rationals unless
+        the weight or x has a Gaussian part; each coefficient is made a field
+        element once, at output.
         """
         if not x:
             return []
@@ -458,35 +473,47 @@ class QuotientModel:
         basis, steps, layers, low = self.basis, self.steps, self.layers, self.low
         rho, by_id = self.quiver.rho, self.quiver.by_id
         # per layer d: (basis id, arrow id, suffix ids) -> coefficient of E(b, a) r
-        pending: list[dict[tuple[int, int, tuple[int, ...]], FieldElem]] = [
+        pending: list[dict[tuple[int, int, tuple[int, ...]], Scalar]] = [
             {} for _ in range(x.degree + 1)]
         for p, coef in x.terms.items():
+            coef = _rational(coef)
             vec = {0: 1}
             ids = tuple(a.id for a in p.arrows)
             for i, a in enumerate(ids):
                 for bid, c in vec.items():
-                    slot, key = pending[len(basis[bid]) + 1], (bid, a, ids[i + 1:])
-                    slot[key] = slot.get(key, ZERO) + coef * c
+                    d = len(basis[bid].arrows) + 1
+                    if (bid, a) in steps[d].prov:
+                        slot, key = pending[d], (bid, a, ids[i + 1:])
+                        y = slot.get(key)
+                        slot[key] = coef * c if y is None else y + coef * c
                 vec = self._then(vec, a)
         # (basis id, suffix ids) -> coefficient of c rho_v r
-        cert: dict[tuple[int, tuple[int, ...]], FieldElem] = {}
+        cert: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         for d in range(x.degree, 1, -1):
-            step, raw, lower = steps[d], layers[d - 2], pending[d - 1]
+            prov, raw = steps[d].prov, layers[d - 2]
+            lower, lower_prov = pending[d - 1], steps[d - 1].prov
             for (bid, a, r), coef in pending[d].items():
-                prov = step.prov.get((bid, a))
-                if prov is None or not coef:
+                if not coef:
                     continue
-                for j, pj in prov.items():
+                for j, pj in prov[(bid, a)].items():
                     cid = raw[j]
                     k = coef * pj
-                    cert[(cid, r)] = cert.get((cid, r), ZERO) + k
+                    y = cert.get((cid, r))
+                    cert[(cid, r)] = k if y is None else y + k
                     for sign, first, second in rho[basis[cid].target]:
-                        m = -(k * sign)
+                        # only a pivot symbol has an entry, or a tail in low
+                        if (cid, first) not in lower_prov:
+                            continue
+                        m = -k if sign > 0 else k
                         key = (cid, first, (second,) + r)
-                        lower[key] = lower.get(key, ZERO) + m
+                        y = lower.get(key)
+                        lower[key] = m if y is None else y + m
                         for b2, c2 in low.get((cid, first), {}).items():
-                            slot, key = pending[len(basis[b2]) + 1], (b2, second, r)
-                            slot[key] = slot.get(key, ZERO) + m * c2
+                            d2 = len(basis[b2].arrows) + 1
+                            if (b2, second) in steps[d2].prov:
+                                slot, key = pending[d2], (b2, second, r)
+                                y = slot.get(key)
+                                slot[key] = m * c2 if y is None else y + m * c2
         out = []
         for (cid, r), c in cert.items():
             if c:
@@ -495,7 +522,8 @@ class QuotientModel:
                 for a in r:
                     h = hash((h, a))
                 arrows = tuple(by_id[a] for a in r)
-                out.append((c, u, v, _path(v, arrows, arrows[-1].head if r else v, h)))
+                out.append((FieldElem.of(c), u, v,
+                            _path(v, arrows, arrows[-1].head if r else v, h)))
         # by length, then by name: '.' sorts below every character of an
         # arrow name, so names joined with it sort as the words of the
         # arrows' ranks in the string order of their names, one character
@@ -504,6 +532,11 @@ class QuotientModel:
         out.sort(key=lambda t: (len(t[1]), len(t[3]), "".join([rank[a.id] for a in t[1].arrows]),
                                 "".join([rank[a.id] for a in t[3].arrows]), t[2]))
         return out
+
+
+def _rational(c: FieldElem) -> Scalar:
+    """A real field element as its exact rational, a Gaussian one as it is."""
+    return c if c.im else c.re
 
 
 def _axpy(dst: dict, src: dict, coef) -> None:
@@ -575,13 +608,13 @@ def eliminate(sym_rows: list[dict[int, FieldElem]]
     return rows, nulls
 
 
-def _reduced_tails(tails: list[dict[int, FieldElem]], prov: dict[tuple[int, int], dict],
-                   nulls: list[dict[int, FieldElem]]) -> dict[tuple[int, int], dict[int, FieldElem]]:
+def _reduced_tails(tails: list[dict[int, Scalar]], prov: dict[tuple[int, int], dict],
+                   nulls: list[dict[int, Scalar]]) -> dict[tuple[int, int], dict[int, Scalar]]:
     """The nonzero tails of the reduced rows, sum_r prov[r] * tails[r],
     keyed by their pivot symbols.  A row whose symbols vanish must lose its
     tail too, or the deformation would not be flat."""
-    def combine(p: dict[int, FieldElem]) -> dict[int, FieldElem]:
-        out: dict[int, FieldElem] = {}
+    def combine(p: dict[int, Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for r, c in p.items():
             _axpy(out, tails[r], c)
         return {k: x for k, x in out.items() if x}
@@ -610,7 +643,7 @@ def model_for(t: ExtDynkinType, w: Weight) -> dict[int, QuotientModel]:
     models = _MODELS.get(key)
     if models is None:
         graded = model_for(t, Weight.of([0] * (t.n + 1))) if any(key[1]) else {}
-        q, lam = build_extended(t), {v: x for v, x in enumerate(key[1]) if x}
+        q, lam = build_extended(t), {v: _rational(x) for v, x in enumerate(key[1]) if x}
         models = _MODELS[key] = {v: QuotientModel(q, v, lam, graded.get(v)) for v in q.vertices}
     return models
 
@@ -701,24 +734,35 @@ def check_certificate(t: ExtDynkinType, cert: MembershipCertificate) -> bool:
     """Expand the certificate terms in the free algebra; no linear algebra.
 
     A path is keyed by its source and its word, one character per arrow id,
-    which names it once every arrow is one of t's own: a term whose paths
-    do not meet at a vertex of t, or a path with an arrow that is not t's
-    own, is rejected unexpanded.  A word is a str, so u.rho_v.w is one
-    concatenation, and the keys are compact and hashed in C."""
+    which names it once every arrow is one of t's own: a weight of the
+    wrong length, a coefficient that is not a field element, a term whose
+    paths do not meet at a vertex of t, or a path with an arrow that is not
+    t's own, is rejected unexpanded.  The words of rho_v are read off the
+    quiver's ``rho`` table and the weight, once per vertex a term names.  A
+    word is a str, so u.rho_v.w is one concatenation, and the keys are
+    compact and hashed in C.  The sum runs on the exact rationals unless a
+    Gaussian part enters."""
     q = build_extended(t)
-    rels = {v: [(_word(p), c) for p, c in rel.terms.items()]
-            for v, rel in relation_set(q, dict(enumerate(cert.weight.entries))).items()}
-    if any(v not in rels or u.target != v or w.source != v for _, u, v, w in cert.terms):
+    rho, by_id, lam = q.rho, q.by_id, cert.weight.entries
+    if len(lam) != len(rho) or any(c.__class__ is not FieldElem or v not in rho
+                                   or u.target != v or w.source != v
+                                   for c, u, v, w in cert.terms):
         return False
-    by_id = q.by_id
     paths = [p for _, u, _, w in cert.terms for p in (u, w)] + list(cert.element.terms)
     if not all((own := by_id.get(a.id)) is a or own == a for p in paths for a in p.arrows):
         return False
+    # rho_v as (word, coefficient) pairs, for each vertex a term names
+    rels: dict[int, list[tuple[str, Scalar]]] = {}
+    for _, _, v, _ in cert.terms:
+        if v not in rels:
+            rels[v] = [(chr(first) + chr(second), sign) for sign, first, second in rho[v]]
+            if lam[v]:
+                rels[v].append(("", -_rational(lam[v])))
     # minus the element, plus each term's words; an entry that cancels is
     # dropped at once, so the dict stays as small as the element's
-    total = {(p.source, _word(p)): -c for p, c in cert.element.terms.items()}
+    total = {(p.source, _word(p)): -_rational(c) for p, c in cert.element.terms.items()}
     for c, u, v, w in cert.terms:
-        left, right = _word(u), _word(w)
+        c, left, right = _rational(c), _word(u), _word(w)
         for word, x in rels[v]:
             key = (u.source, left + word + right)
             y = total.get(key)

@@ -232,13 +232,16 @@ def _ratio(n: int, d: int) -> int | Fraction:
 
 
 def format_field_elem(x: FieldElem) -> str:
-    if x.im == 0:
-        return str(x.re)
-    im = f"{abs(x.im)}i" if abs(x.im) != 1 else "i"
-    sign = "+" if x.im > 0 else "-"
-    if x.re == 0:
-        return f"{'-' if x.im < 0 else ''}{im}"
-    return f"{x.re}{sign}{im}"
+    try:
+        if x.im == 0:
+            return str(x.re)
+        im = f"{abs(x.im)}i" if abs(x.im) != 1 else "i"
+        sign = "+" if x.im > 0 else "-"
+        if x.re == 0:
+            return f"{'-' if x.im < 0 else ''}{im}"
+        return f"{x.re}{sign}{im}"
+    except ValueError:  # str() prints at most sys.get_int_max_str_digits() digits
+        raise DomainError("a computed field element has too many digits to print") from None
 
 
 class Weight(Frozen):

@@ -270,6 +270,20 @@ def test_over_long_numbers_are_domain_or_usage_errors(argv, code, err, capsys):
     assert got.startswith("error:" if code == 1 else "usage:")
 
 
+@pytest.mark.skipif(INT_DIGITS_LIMIT == 0, reason="int() takes any number of digits")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_computed_part_too_long_to_print_is_a_domain_error(fmt, capsys):
+    # the weight parses, but the presentation's products have more digits
+    # than str() prints; that ended in a ValueError traceback
+    nines = "9" * INT_DIGITS_LIMIT
+    argv = ["presentation", "--type", "~A2", "--weights", f"{nines},{nines},{nines}",
+            "--format", fmt]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "too many digits to print" in err
+
+
 KNIT_D5 = ["knit", "--type", "~D5"]
 
 # numbers in other scripts' digits or with an underscore, which

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import pickle
 import random
 from collections import Counter
@@ -22,7 +23,7 @@ from preproj.pathalg import (MembershipCertificate,
                              model_for, multiply, parse_path,
                              relation_set, trivial_path,
                              verify_zero_product)
-from preproj.weights import FieldElem, ONE, Weight, ZERO, epsilon0
+from preproj.weights import FieldElem, ONE, Weight, ZERO, epsilon0, format_field_elem
 
 ALL_EXTENDED = ([ExtDynkinType("A", n) for n in range(2, 9)]
                 + [ExtDynkinType("D", n) for n in range(4, 9)]
@@ -855,14 +856,46 @@ def test_weight0_tables_are_on_ints():
         assert {x.__class__ for nf in nfs for x in nf.values()} == {int}
 
 
-@pytest.mark.parametrize("gaussian", [False, True], ids=["zero", "gaussian"])
-def test_certificates_have_field_coefficients(gaussian):
-    # the tables are on ints, the coefficients of a certificate field elements
+RATIONALS = {int, Fraction}
+
+
+def test_real_weight_tables_are_on_the_rationals():
+    # a real lambda_v enters as its exact rational, and so do the tails, the
+    # tables and the normal forms; a Gaussian lambda_v brings in field elements
+    t = ExtDynkinType("D", 5)
+    real = model_for(t, Weight.of([1, "1/2", 0, "2/3", 5, -1]))
+    gaussian = model_for(t, Weight.of(["1+i", 0, "-i", 0, 0, 2]))
+    assert {x.__class__ for x in real[0].lam.values()} == RATIONALS
+    assert FieldElem in {x.__class__ for x in gaussian[0].lam.values()}
+    paths = paths_by_degree(build_extended(t), 5)
+    tails = {True: set(), False: set()}
+    for models, is_real in ((real, True), (gaussian, False)):
+        for v, m in models.items():
+            m.extend_to(6)
+            tails[is_real] |= {x.__class__ for tail in m.low.values() for x in tail.values()}
+            if is_real:
+                entries = {x.__class__ for entry in m.mul.values() for x in entry.values()}
+                nfs = {x.__class__ for d in (3, 4, 5) for p in paths[d] if p.source == v
+                       for x in m.nf_path(p).values()}
+                # a real coefficient of an element enters as its exact rational
+                nfs |= {x.__class__ for p in paths[4] if p.source == v
+                        for x in m.nf(PathElement.of_path(p, "2/3")).values()}
+                assert entries <= RATIONALS and nfs <= RATIONALS and int in nfs
+    assert tails[True] == RATIONALS
+    assert FieldElem in tails[False]
+
+
+@pytest.mark.parametrize("kind", ["zero", "real", "gaussian"])
+def test_certificates_have_field_coefficients(kind):
+    # the sums run on ints or rationals, the coefficients of a certificate
+    # are field elements
     t = ExtDynkinType("D", 5)
     q = build_extended(t)
     rng = random.Random(29)
-    w = Weight.of([FieldElem(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
-                   if gaussian else 0 for _ in q.vertices])
+    w = Weight.of([0 if kind == "zero" else
+                   Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if kind == "real" else
+                   FieldElem(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+                   for _ in q.vertices])
     rels = relation_set(q, dict(enumerate(w.entries)))
     paths = paths_by_degree(q, 3)
     for _ in range(12):
@@ -898,6 +931,43 @@ def test_check_certificate_rejects_another_quivers_arrow_and_wrong_terms():
         flipped = cert.terms[:k] + ((-c, u, v, w),) + cert.terms[k + 1:]
         assert not check_certificate(t, cert._replace(terms=flipped))
         assert not check_certificate(t, cert._replace(terms=cert.terms[:k] + cert.terms[k + 1:]))
+
+
+# a real weight that vanishes on the component, cycling by vertex index
+REAL_PARTS = ("1/2", "-3", "2/3", "5")
+
+
+def real_weight(fixture) -> Weight:
+    comp = set(fixture.component)
+    return Weight.of([0 if i in comp else REAL_PARTS[i % len(REAL_PARTS)]
+                      for i in range(fixture.type.n + 1)])
+
+
+@pytest.mark.parametrize("kind", ["real", "gaussian"])
+def test_check_certificate_rejects_wrong_certificates_at_deformed_weights(kind):
+    fixture = next(f for f in MAP_FIXTURES if f.fixture_id == "E6-D5")
+    t = fixture.type
+    w = real_weight(fixture) if kind == "real" else gaussian_weight(fixture)
+    assert any(w.entries) and any(x.im for x in w.entries) == (kind == "gaussian")
+    rep = verify_zero_product(t, w, *fixture.matrices())
+    assert rep.ok
+    cert = max(rep.certificates, key=lambda c: len(c.terms))
+    assert len(cert.terms) >= 2 and check_certificate(t, cert)
+    for k in range(len(cert.terms)):
+        c, u, v, right = cert.terms[k]
+        flipped = cert.terms[:k] + ((-c, u, v, right),) + cert.terms[k + 1:]
+        assert not check_certificate(t, cert._replace(terms=flipped))
+        assert not check_certificate(t, cert._replace(terms=cert.terms[:k] + cert.terms[k + 1:]))
+    # lambda_v moved at a vertex that a term names changes that term's
+    # expansion by a multiple of u.w
+    named = {v for _, _, v, _ in cert.terms}
+    for v in named:
+        moved = list(w.entries)
+        moved[v] += 1
+        assert not check_certificate(t, cert._replace(weight=Weight.of(moved)))
+    # a weight of the wrong length is rejected, not read past its end
+    for entries in (w.entries[:-1], w.entries + (ZERO,), w.entries[:1]):
+        assert check_certificate(t, cert._replace(weight=Weight(entries))) is False
 
 
 # -- zero products -----------------------------------------------------------
@@ -939,3 +1009,33 @@ def test_printed_map_pairs_certify(fixture):
         assert rep.ok, (fixture.fixture_id, rep.failed_entry)
         for cert in rep.certificates:
             assert check_certificate(fixture.type, cert)
+
+
+# a Gaussian part at each vertex off the component, cycling by vertex index
+GAUSSIAN_PARTS = ("1+i", "2-i", "1/2+3/2i", "-i", "3i")
+
+
+def gaussian_weight(fixture) -> Weight:
+    comp = set(fixture.component)
+    return Weight.of([0 if i in comp else GAUSSIAN_PARTS[i % len(GAUSSIAN_PARTS)]
+                      for i in range(fixture.type.n + 1)])
+
+
+# sha256 of the canonical JSON of every certificate of the printed map pairs
+# at the zero, component and Gaussian weights, taken before the deformed
+# arithmetic followed the ring of its inputs
+MAP_CERTIFICATES_SHA256 = "4044dace167f1df0d80e9b010b6e3bc8a50524a9ab964fda441b3565a0ac220c"
+
+
+def test_printed_map_pair_certificates_are_pinned():
+    record = []
+    for fixture in MAP_FIXTURES:
+        psi, phi = fixture.matrices()
+        for w in (fixture.zero_weight(), fixture.component_weight(), gaussian_weight(fixture)):
+            rep = verify_zero_product(fixture.type, w, psi, phi)
+            assert rep.ok, (fixture.fixture_id, str(w), rep.failed_entry)
+            record.append([fixture.fixture_id, str(w),
+                           [[[format_field_elem(c), str(u), v, str(right)]
+                             for c, u, v, right in cert.terms] for cert in rep.certificates]])
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == MAP_CERTIFICATES_SHA256
