@@ -399,13 +399,28 @@ class VertexPermutation(NamedTuple):
         return dict(self.mapping)
 
 
+# one shared VertexPermutation per Dynkin type, built on first use
+_NAKAYAMA: dict[DynkinType, VertexPermutation] = {}
+
+
 def nakayama(t: DynkinType) -> VertexPermutation:
     """Graph automorphism induced by the Nakayama functor of Pi(Q).
 
     Identity for A_1, D_even, E_7, E_8; the unique order-2 automorphism
-    for A_n (n >= 2), D_odd and E_6, in the canonical labelling.
+    for A_n (n >= 2), D_odd and E_6, in the canonical labelling.  Built
+    once per Dynkin type and shared: a ``VertexPermutation`` is immutable.
     """
-    n = _require_dynkin(t).n
+    try:
+        nak = _NAKAYAMA.get(t)
+    except TypeError:   # unhashable, so not a type: _require_dynkin says so
+        nak = None
+    if nak is None:
+        nak = _NAKAYAMA[t] = _build_nakayama(_require_dynkin(t))
+    return nak
+
+
+def _build_nakayama(t: DynkinType) -> VertexPermutation:
+    n = t.n
     verts = range(1, n + 1)
     if t.family == "A":
         return VertexPermutation.of({i: n + 1 - i for i in verts})
@@ -458,8 +473,15 @@ def _canonical_isomorphism(adjacency: dict[int, frozenset[int]],
     return extend({}, set())
 
 
-def classify_components(q: LabelledDoubleQuiver, keep: set[int]
-                        ) -> list[tuple[DynkinType, tuple[int, ...], dict[int, int]]]:
+Component = tuple[DynkinType, tuple[int, ...], dict[int, int]]
+
+# per extended type, each connected vertex set classify_components has met:
+# (Dynkin type, sorted vertices, canonical map); the keys are connected
+# subsets of the Dynkin tree on 1..n, at most O(n^2) of them per type
+_COMPONENTS: dict[ExtDynkinType, dict[frozenset[int], Component]] = {}
+
+
+def classify_components(q: LabelledDoubleQuiver, keep: set[int]) -> list[Component]:
     """Connected components of the full subquiver on ``keep``, classified.
 
     Every component of a proper subquiver of an extended Dynkin diagram is
@@ -468,13 +490,26 @@ def classify_components(q: LabelledDoubleQuiver, keep: set[int]
     map found, the lexicographically smallest isomorphism onto the canonical
     labelling; the Dynkin graphs on m vertices are pairwise non-isomorphic,
     so the type is unique.
+
+    The type and map of a component depend on its vertex set alone, so on
+    the shared quiver of an extended type (``build_extended``) each one is
+    classified once per process and kept in ``_COMPONENTS`` under (quiver
+    type, frozenset of its vertices).  The keys are connected subsets of
+    the Dynkin tree on 1..n, which has at most one branch point: intervals
+    of a path, n(n+1)/2 of them for ~A_n, and O(n^2) for ~D_n, so the cache
+    needs no bound.  Every call returns its own copy of each canonical map.
+    Any other quiver, such as a ``full_subquiver``, which has no type, is
+    classified uncached.
     """
     keep = set(keep)
     if q.type is not None and 0 in keep:
         raise DomainError("keep must consist of non-extending vertices")
     if not keep <= set(q.vertices):
         raise DomainError("keep must be a subset of the vertex set")
-    adj = {v: frozenset(w for w in q.neighbours(v) if w in keep) for v in keep}
+    cache = None
+    if q.type is not None and _EXTENDED.get(q.type) is q:
+        cache = _COMPONENTS.setdefault(q.type, {})
+    nbrs = q._neighbours
     seen: set[int] = set()
     components = []
     for v in sorted(keep):
@@ -483,20 +518,30 @@ def classify_components(q: LabelledDoubleQuiver, keep: set[int]
         comp = {v}
         stack = [v]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
+            for w in nbrs[stack.pop()]:
+                if w in keep and w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
-        sub = {u: frozenset(adj[u] & comp) for u in comp}
-        m = len(comp)
-        for family in "ADE" if m in (6, 7, 8) else "AD" if m >= 4 else "A":
-            dt = DynkinType(family, m)
-            best = _canonical_isomorphism(sub, dynkin_adjacency(dt))
-            if best is not None:
-                components.append((dt, tuple(sorted(comp)), best))
-                break
-        else:
-            raise InternalInconsistency(f"component {sorted(comp)} is not of ADE shape")
+        key = frozenset(comp)
+        hit = None if cache is None else cache.get(key)
+        if hit is None:
+            hit = _classify_component(q, key)
+            if cache is not None:
+                cache[key] = hit
+        dt, verts, canon = hit
+        components.append((dt, verts, dict(canon)))
     return components
 
+
+def _classify_component(q: LabelledDoubleQuiver, comp: frozenset[int]) -> Component:
+    """The Dynkin type, sorted vertices and canonical map of one connected
+    vertex set of q, by the isomorphism search."""
+    sub = {u: frozenset(w for w in q.neighbours(u) if w in comp) for u in comp}
+    m = len(comp)
+    for family in "ADE" if m in (6, 7, 8) else "AD" if m >= 4 else "A":
+        dt = DynkinType(family, m)
+        best = _canonical_isomorphism(sub, dynkin_adjacency(dt))
+        if best is not None:
+            return dt, tuple(sorted(comp)), best
+    raise InternalInconsistency(f"component {sorted(comp)} is not of ADE shape")

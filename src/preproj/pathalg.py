@@ -680,24 +680,44 @@ def _dynkin_series(q: LabelledDoubleQuiver, t: DynkinType):
         yield us
 
 
+# per Dynkin type: the per-degree sums over every vertex's Hilbert series
+# and, by vertex, its per-target sums, from one checked pass
+_SERIES_SUMS: dict[DynkinType, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+
+
+def _series_sums(t: DynkinType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """What ``graded_dims_pi`` and ``hom_matrix`` read off the Hilbert
+    series, summed in one pass of ``_dynkin_series``, so its Nakayama check
+    runs once per type; only the sums are kept: h - 1 degree sums and n
+    rows of n target sums."""
+    q = build_dynkin(t)
+    sums = _SERIES_SUMS.get(t)
+    if sums is None:
+        degrees, targets = [], []
+        for us in _dynkin_series(q, t):
+            degrees.append([sum(u.values()) for u in us])
+            row = [0] * t.n
+            for u in us:
+                for j, x in u.items():
+                    row[j - 1] += x
+            targets.append(tuple(row))
+        sums = _SERIES_SUMS[t] = (tuple(map(sum, zip(*degrees))), tuple(targets))
+    return sums
+
+
 def graded_dims_pi(t: DynkinType) -> tuple[tuple[int, ...], int]:
     """Per-degree dimensions of Pi(Q) for Dynkin Q, and the total, summed
-    from the Hilbert series; degree h - 2 is the top."""
-    per_vertex = ([sum(u.values()) for u in us] for us in _dynkin_series(build_dynkin(t), t))
-    dims = tuple(map(sum, zip(*per_vertex)))
+    from the Hilbert series; degree h - 2 is the top.  Shares one pass of
+    the series with ``hom_matrix``, cached per type (``_series_sums``)."""
+    dims = _series_sums(t)[0]
     return dims, sum(dims)
 
 
 def hom_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     """H_ij = dim e_i Pi(Q) e_j over the canonical vertex labels 1..n: the
-    Hilbert series of vertex i summed over the degrees."""
-    q = build_dynkin(t)
-    out = [[0] * t.n for _ in range(t.n)]
-    for row, us in zip(out, _dynkin_series(q, t)):
-        for u in us:
-            for j, x in u.items():
-                row[j - 1] += x
-    return tuple(tuple(r) for r in out)
+    Hilbert series of vertex i summed over the degrees.  Shares one pass of
+    the series with ``graded_dims_pi``, cached per type (``_series_sums``)."""
+    return _series_sums(t)[1]
 
 
 def _require_element(x) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -447,15 +448,19 @@ def numbers_game(t: ExtDynkinType, w: Weight) -> tuple[Weight, list[int]]:
     return _fire(t, w, range(t.n + 1))
 
 
-def _candidate_positives(t: ExtDynkinType):
-    """Integer weights with all non-extending entries positive, on the
-    level-1 hyperplane, ordered by total size.  The only one of total n is
-    all ones there, the Schedler configuration, so it comes first."""
-    n = t.n
-    d = delta_vector(t)
+def _candidate_parts(n: int):
+    """The entries at 1..n of the candidates of ``resolve_to_smooth``:
+    positive ints up to CANDIDATE_MAX_ENTRY, ordered by total size.  The
+    only one of total n is all ones, the Schedler configuration, so it
+    comes first."""
     for total in range(n, CANDIDATE_MAX_ENTRY * n + 1):
-        for comp in _compositions(total, n):
-            yield Weight.of([1 - sum(c * d[i + 1] for i, c in enumerate(comp))] + list(comp))
+        yield from _compositions(total, n)
+
+
+def _candidate(d: tuple[int, ...], parts: tuple[int, ...]) -> Weight:
+    """The integer weight on the level-1 hyperplane with entries parts at
+    the vertices 1..n."""
+    return Weight.of([1 - sum(c * d[i + 1] for i, c in enumerate(parts))] + list(parts))
 
 
 def _compositions(total: int, parts: int):
@@ -470,22 +475,95 @@ def _compositions(total: int, parts: int):
                 yield (first,) + tail
 
 
+# per type: det C and, for each vertex j >= 1 with delta_j = 1, the row
+# det(C) (C^{-1})_j as ints
+_CLASS_ROWS: dict[ExtDynkinType, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+
+
+def _in_eps0_class(t: ExtDynkinType, parts: tuple[int, ...]) -> bool:
+    """Whether a level-1 integer weight with entries ``parts`` at 1..n lies
+    in eps_0's class modulo the root lattice, that is, C^{-1} parts is
+    integral.
+
+    The coefficient of alpha_j in a weight is its pairing with the
+    fundamental coweight of j.  For j >= 1 with delta_j = 1 these are the
+    minuscule coweights, which represent every class of the coweight
+    lattice modulo the coroot lattice, a group that pairs perfectly with
+    the weight lattice modulo the root lattice.  So a weight is in the
+    root lattice exactly when its coefficients at those j are integers:
+    one int row of det(C) C^{-1} per such j, built once per type and kept
+    in ``_CLASS_ROWS`` under the type, and an O(n) dot product with each,
+    taken mod det(C)."""
+    table = _CLASS_ROWS.get(t)
+    if table is None:
+        table = _CLASS_ROWS[t] = _class_rows(t)
+    det, rows = table
+    return all(sum(map(operator.mul, row, parts)) % det == 0 for row in rows)
+
+
+def _class_rows(t: ExtDynkinType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det C and the rows of ``_in_eps0_class``.  C is the Cartan matrix of
+    the Dynkin tree on 1..n, so C x = e_j is solved by eliminating leaves
+    first, one pivot per vertex shared by every j, with no fill-in."""
+    nbrs = build_extended(t).adjacency()
+    order, parent = [1], {1: 0}
+    for v in order:
+        for w in nbrs[v]:
+            if w and w not in parent:
+                parent[w] = v
+                order.append(w)
+    pivot = dict.fromkeys(order, Fraction(2))
+    for v in reversed(order[1:]):
+        pivot[parent[v]] -= 1 / pivot[v]
+    det = math.prod(pivot.values())
+    rows = []
+    for j, dj in enumerate(cartan(t).delta):
+        if j == 0 or dj != 1:
+            continue
+        rhs = dict.fromkeys(order, 0)
+        rhs[j] = 1
+        for v in reversed(order[1:]):
+            rhs[parent[v]] += rhs[v] / pivot[v]
+        x = {1: rhs[1] / pivot[1]}
+        for v in order[1:]:
+            x[v] = (rhs[v] + x[parent[v]]) / pivot[v]
+        row = [det * x[v] for v in range(1, t.n + 1)]
+        if det.denominator != 1 or any(r.denominator != 1 for r in row):
+            raise InternalInconsistency(f"det(C) C^-1 of {t} is not integral")
+        rows.append(tuple(int(r) for r in row))
+    return int(det), tuple(rows)
+
+
 def resolve_to_smooth(t: ExtDynkinType) -> tuple[list[int], Weight]:
     """A reflection sequence rho with rho(eps_0)_i > 0 for all i >= 1.
 
-    Plays the numbers game from small all-positive integer configurations
-    mu on the level-1 hyperplane, in the order of ``_candidate_positives``;
-    when the game ends at eps_0 the reversed firing sequence is the wanted
-    rho.  At positive level every game ends, and the all-2 configuration
-    (1 - 2 sum_{i>=1} delta_i, 2, ..., 2) is a candidate whose game ends at
-    eps_0, so the loop always returns.
+    Tries small all-positive integer configurations mu on the level-1
+    hyperplane, in the order of ``_candidate_parts``; the first one whose
+    numbers game ends at eps_0 gives rho, the reversed firing sequence.
+    A dual reflection moves an integral weight by an integer multiple of a
+    root, and at level 1 the one dominant weight of a class modulo the
+    root lattice is the fundamental weight of a vertex with delta_i = 1,
+    so the game from mu ends at eps_0 exactly when mu is in eps_0's class,
+    that is, when C^{-1} mu_{1..n} is integral (``_in_eps0_class``).  So
+    only the first candidate in the class plays a game, and a miss of
+    eps_0 there is an inconsistency.  The word is replayed from eps_0
+    through ``apply_reflections`` as a check.  At positive level every
+    game ends, and the all-2 configuration (1 - 2 sum_{i>=1} delta_i, 2,
+    ..., 2) is a candidate in the class, so the loop always returns.
     """
     eps = epsilon0(t)
-    for mu in _candidate_positives(t):
+    for parts in _candidate_parts(t.n):
+        if not _in_eps0_class(t, parts):
+            continue
+        mu = _candidate(delta_vector(t), parts)
         terminal, fired = numbers_game(t, mu)
-        if terminal == eps:
-            seq = list(reversed(fired))
-            if apply_reflections(t, eps, seq) != mu:
-                raise InternalInconsistency("replay of the numbers game missed its start")
-            return seq, mu
-    raise InternalInconsistency(f"no candidate for {t}, the all-2 one included, reached eps_0")
+        if terminal != eps:
+            raise InternalInconsistency(
+                f"the numbers game of {format_weight(mu)}, in eps_0's class, ended at "
+                f"{format_weight(terminal)}")
+        seq = list(reversed(fired))
+        if apply_reflections(t, eps, seq) != mu:
+            raise InternalInconsistency("replay of the numbers game missed its start")
+        return seq, mu
+    raise InternalInconsistency(
+        f"no candidate for {t}, the all-2 one included, is in eps_0's class")

@@ -210,6 +210,69 @@ def test_classify_canonical_map_is_smallest_on_every_small_subset():
                 assert_canonical_maps(q, set(keep))
 
 
+def test_cached_components_equal_an_uncached_classification(monkeypatch):
+    # every subset I of 1..n of the 15 types, 1,452 in all: the shared quiver
+    # caches its components, an equal quiver that is not the shared one and
+    # the untyped copy classify uncached, and all three agree in types,
+    # vertices and canonical maps; each connected set is searched once
+    monkeypatch.setattr(dynkin, "_COMPONENTS", {})
+    searches = []
+    search = dynkin._canonical_isomorphism
+    monkeypatch.setattr(dynkin, "_canonical_isomorphism",
+                        lambda sub, canon: searches.append(1) or search(sub, canon))
+    subsets = 0
+    for t in ALL_EXTENDED:
+        q = build_extended(t)
+        untyped = q.full_subquiver(set(q.vertices))
+        twin = dynkin.LabelledDoubleQuiver(q.vertices, q.arrows, t)
+        for size in range(t.n + 1):
+            for keep in itertools.combinations(range(1, t.n + 1), size):
+                subsets += 1
+                cached = classify_components(q, set(keep))
+                assert cached == classify_components(untyped, set(keep)), (t, keep)
+                assert cached == classify_components(twin, set(keep)), (t, keep)
+        cache = dynkin._COMPONENTS[t]
+        assert all(len(classify_components(untyped, set(key))) == 1 for key in cache), t
+        if t.family == "A":
+            assert len(cache) == t.n * (t.n + 1) // 2, t
+        before = len(searches)
+        for size in range(t.n + 1):
+            for keep in itertools.combinations(range(1, t.n + 1), size):
+                classify_components(q, set(keep))
+        assert len(searches) == before, t
+    assert subsets == 1452
+    assert set(dynkin._COMPONENTS) == set(ALL_EXTENDED)
+
+
+def test_only_the_shared_quiver_of_a_type_reads_the_cache():
+    # a quiver built with ~D5's type but ~A5's arrows: {2, 3, 4, 5} is D4 on
+    # the shared ~D5 and a path A4 on this one
+    t = ExtDynkinType("D", 5)
+    keep = {2, 3, 4, 5}
+    assert [str(dt) for dt, _, _ in classify_components(build_extended(t), keep)] == ["D4"]
+    a5 = build_extended(ExtDynkinType("A", 5))
+    other = dynkin.LabelledDoubleQuiver(a5.vertices, a5.arrows, t)
+    assert [str(dt) for dt, _, _ in classify_components(other, keep)] == ["A4"]
+
+
+def test_a_returned_canonical_map_is_a_copy():
+    q = build_extended(ExtDynkinType("D", 8))
+    keep = {1, 2, 3, 5, 6, 7, 8}
+    first = classify_components(q, keep)
+    want = [(dt, verts, dict(canon)) for dt, verts, canon in first]
+    for _, verts, canon in first:
+        canon.clear()
+        canon[verts[0]] = -1
+    assert classify_components(q, keep) == want
+    assert classify_components(q, keep)[0][2] is not classify_components(q, keep)[0][2]
+
+
+def test_nakayama_is_built_once_per_type():
+    for t in (DynkinType("A", 5), DynkinType("D", 7), DynkinType("E", 6)):
+        assert nakayama(t) is nakayama(DynkinType(t.family, t.n))
+    assert all(type(t) is DynkinType for t in dynkin._NAKAYAMA)
+
+
 def test_classify_canonical_map_is_smallest_on_sampled_subsets():
     rng = random.Random(41)
     for t in ALL_EXTENDED:

@@ -674,9 +674,31 @@ def test_engine_layers_are_the_hilbert_series():
                 assert dict(Counter(m.basis[b].target for b in layer)) == series[d], (t, v, d)
 
 
+def test_dims_and_hom_matrix_share_one_checked_pass(monkeypatch):
+    # one pass of the series per type serves both, with the sums the
+    # series gives directly
+    monkeypatch.setattr(pathalg, "_SERIES_SUMS", {})
+    passes = []
+    series = pathalg._dynkin_series
+    monkeypatch.setattr(pathalg, "_dynkin_series",
+                        lambda q, t: passes.append(str(t)) or series(q, t))
+    for t in (DynkinType("A", 5), DynkinType("D", 7), DynkinType("E", 6)):
+        dims, total = graded_dims_pi(t)
+        h = hom_matrix(t)
+        assert (graded_dims_pi(t), hom_matrix(t)) == ((dims, total), h)
+        us = list(series(build_dynkin(t), t))
+        assert dims == tuple(map(sum, zip(*([sum(u.values()) for u in vs] for vs in us))))
+        assert h == tuple(tuple(sum(u.get(j, 0) for u in vs) for j in range(1, t.n + 1))
+                          for vs in us)
+        assert total == sum(map(sum, h))
+    assert passes == ["A5", "D7", "E6"]
+
+
 def test_a_wrong_nakayama_permutation_is_an_inconsistency(monkeypatch):
     # the hand-written table and the recurrence check each other: with the
-    # identity, A3's vertex 1 ends at vertex 3, not at 1; D4's is the identity
+    # identity, A3's vertex 1 ends at vertex 3, not at 1; D4's is the identity;
+    # an empty cache makes each type run its checked pass here
+    monkeypatch.setattr(pathalg, "_SERIES_SUMS", {})
     monkeypatch.setattr(pathalg, "nakayama",
                         lambda t: VertexPermutation.of({i: i for i in range(1, t.n + 1)}))
     for f in (graded_dims_pi, hom_matrix):

@@ -1,6 +1,7 @@
 import copy
 import functools
 import hashlib
+import itertools
 import operator
 import pickle
 import random
@@ -8,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (as_pair, fuzz_text, pair_product, reference_fire,
+from oracles import (as_pair, det_int, fuzz_text, pair_product, reference_fire,
                      reference_parse_field_elem, reference_presentation, schedler_configuration)
+from preproj import weights
 from preproj.dynkin import ExtDynkinType, cartan, delta_vector
-from preproj.errors import DomainError
-from preproj.weights import (FieldElem, MINUS_ONE, ONE, Weight, ZERO, _candidate_positives,
+from preproj.errors import DomainError, InternalInconsistency
+from preproj.weights import (FieldElem, MINUS_ONE, ONE, Weight, ZERO, _candidate, _candidate_parts,
                              _check_length, _unscale, apply_reflections,
                              classify_weight, dot_delta,
                              dual_reflection, epsilon0, format_field_elem,
@@ -277,13 +279,71 @@ def test_resolve_to_smooth_all_types():
             length, word_hash, mu_text), t
 
 
+CLASS_TYPES = ([ExtDynkinType("A", n) for n in range(2, 13)]
+               + [ExtDynkinType("D", n) for n in range(4, 13)]
+               + [ExtDynkinType("E", n) for n in (6, 7, 8)])
+
+
+def test_class_rows_are_det_c_times_c_inverse():
+    # C row_j = det(C) e_j for every vertex j >= 1 with delta_j = 1
+    for t in CLASS_TYPES:
+        c = cartan(t).cartan
+        det, rows = weights._class_rows(t)
+        assert det == det_int(c), t
+        specials = [j for j in range(1, t.n + 1) if cartan(t).delta[j] == 1]
+        assert len(rows) == len(specials), t
+        for j, row in zip(specials, rows):
+            image = [sum(a * x for a, x in zip(r, row)) for r in c]
+            assert image == [det if i == j else 0 for i in range(1, t.n + 1)], (t, j)
+
+
+def test_class_test_agrees_with_the_game():
+    # the first 40 candidates of each type, 876 in all: the game ends at
+    # eps_0 exactly for the candidates in eps_0's class
+    checked = reached = 0
+    for t in CLASS_TYPES:
+        eps = epsilon0(t)
+        for parts in itertools.islice(_candidate_parts(t.n), 40):
+            mu = _candidate(delta_vector(t), parts)
+            in_class = weights._in_eps0_class(t, parts)
+            assert in_class == (numbers_game(t, mu)[0] == eps), (t, str(mu))
+            checked += 1
+            reached += in_class
+    assert (checked, reached) == (876, 241)
+
+
+def test_resolve_to_smooth_plays_one_game(monkeypatch):
+    # only the first candidate in eps_0's class plays, and its word is still
+    # replayed through dual_reflection
+    games, reflections = [], []
+    game, reflect = weights.numbers_game, weights.dual_reflection
+    monkeypatch.setattr(weights, "numbers_game",
+                        lambda t, w: games.append(str(w)) or game(t, w))
+    monkeypatch.setattr(weights, "dual_reflection",
+                        lambda t, w, i: reflections.append(i) or reflect(t, w, i))
+    for t in ALL_EXTENDED + [ExtDynkinType("A", 31)]:
+        games.clear()
+        reflections.clear()
+        seq, mu = resolve_to_smooth(t)
+        assert games == [format_weight(mu)], t
+        assert reflections == seq, t
+
+
+def test_a_game_in_eps0_class_that_misses_eps0_is_an_inconsistency(monkeypatch):
+    t = ExtDynkinType("D", 5)
+    monkeypatch.setattr(weights, "numbers_game", lambda t, w: (w, []))
+    with pytest.raises(InternalInconsistency, match="in eps_0's class, ended at -6,1,1,1,1,1"):
+        resolve_to_smooth(t)
+
+
 def test_all_two_configuration_ends_at_eps0():
     # resolve_to_smooth's loop ends: the all-2 configuration is one of its
     # candidates, and its numbers game reaches eps_0 on every type
     for t in ALL_EXTENDED:
         d = delta_vector(t)
         all_two = Weight.of([1 - 2 * sum(d[1:])] + [2] * t.n)
-        assert all_two in _candidate_positives(t), t
+        assert (2,) * t.n in _candidate_parts(t.n), t
+        assert _candidate(d, (2,) * t.n) == all_two, t
         terminal, fired = numbers_game(t, all_two)
         assert terminal == epsilon0(t), t
         assert apply_reflections(t, all_two, fired) == terminal
